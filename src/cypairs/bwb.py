@@ -41,6 +41,8 @@ def canonicalize(b: Bundle, n: int) -> Bundle:
     strips any column of height n+1 from q.  Canonical form: u has at most
     n-1 rows, q at most n rows.
     """
+    if n < 1:
+        raise ValueError("n must be >= 1")
     u = check_partition(b.u)
     q = check_partition(b.q)
     t = b.t

@@ -25,13 +25,9 @@ from .bwb import canonicalize, cohomology
 from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
 from .motivic import l_equivalence_certificate
+from .partitions import trim
 from .pluecker import symmetry_obstruction_probe
-from .symfunc import (
-    BudgetExceeded,
-    determinant_multiplicity,
-    plethysm_wedge,
-    schur_expansion_json,
-)
+from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _SEVERITY = ("pass", "assumption", "indeterminate", "deviation", "fail")
 
@@ -226,6 +222,7 @@ def cmd_hodge(args) -> dict:
 
 def cmd_plethysm(args) -> dict:
     lam = _ints(args.lam)
+    N = 2 * args.wedge + 1 if args.nvars is None else args.nvars
     out = {
         "schema": 1,
         "command": "plethysm",
@@ -233,20 +230,17 @@ def cmd_plethysm(args) -> dict:
         "wedge": args.wedge,
     }
     try:
-        expansion = plethysm_wedge(
-            lam, args.wedge, N=args.nvars, budget=args.budget_degree
-        )
-        power, mult = determinant_multiplicity(
-            lam, args.wedge, budget=args.budget_degree
-        )
+        expansion = plethysm_wedge(lam, args.wedge, N=N, budget=args.budget_degree)
     except BudgetExceeded as exc:
         out["status"] = "indeterminate"
         out["reason"] = str(exc)
         return out
+    # det^k = s_(k^N) sits in degree n*|lam| = kN
+    degree = args.wedge * sum(lam)
+    power = None if degree % N else degree // N
+    mult = 0 if power is None else expansion.get(trim((power,) * N), 0)
     out["status"] = "pass"
-    out["expansion"] = schur_expansion_json(
-        expansion, args.nvars or 2 * args.wedge + 1
-    )
+    out["expansion"] = schur_expansion_json(expansion, N)
     out["determinant"] = {"power": power, "multiplicity": mult}
     return out
 

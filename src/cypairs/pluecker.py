@@ -170,6 +170,9 @@ def symmetry_obstruction_probe(n: int, trials: int = 50, seed: int = 0) -> dict:
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    if trials < 1:
+        # zero trials would report an obstruction on no evidence at all
+        raise ValueError("trials must be >= 1")
     rng = random.Random(seed)
     N = 2 * n + 1
     D = comb(N, n)

@@ -4,13 +4,21 @@ determinant-multiplicity witness search.
 The character of S^lambda(wedge^n V) for dim V = N is the plethysm s_lambda[e_n]
 evaluated in N variables.  It is computed by expanding s_lambda over the
 binomial(N, n) squarefree monomials of e_n, treated as formal letters in a fixed
-lexicographic order: a semistandard tableau DP accumulates, letter by letter,
-the exponent-vector distribution of the resulting polynomial (a numpy int64
-array per DP state, indexed by a degree-graded slot table).  The symmetric
-result is stored on dominant exponents only and converted to the Schur basis by
-straightening: repeatedly subtract the Schur polynomial of the lex-greatest
-dominant exponent, whose leading coefficient is 1, so no division ever happens
-and every intermediate value is an exact integer.
+lexicographic order.  A semistandard tableau DP adds the letters one at a time,
+each as a horizontal strip; its state is the tableau shape, and each shape
+holds the exponent-vector distribution of its partial polynomial as a numpy
+int64 array over a slot table: the exponent vectors of one degree, in lex
+order, with strictly increasing integer codes.  Multiplying by a letter shifts
+codes, and `searchsorted` finds the target slots.  Exponents never decrease
+along the DP, so a vector with an entry above a cap that no later lookup can
+use is dropped.  One pass yields the tables of every shape of a degree, which
+is what the witness search scans.
+
+The coefficient of s_mu is read off a table by Weyl alternation (Macdonald,
+Symmetric Functions and Hall Polynomials, I.3): the sum over w in S_N of
+sgn(w) times the coefficient of x^(mu + rho - w rho), taken over the
+permutations that leave every exponent non-negative.  Every value is an exact
+integer; a negative Schur coefficient contradicts Schur positivity and raises.
 
 The determinant power det^k = S^{(k^N)}V can appear in S^lambda(wedge^n V) only
 for k = n*|lambda|/N; its multiplicity drives the witness search.
@@ -18,13 +26,12 @@ for k = n*|lambda|/N; its multiplicity drives the witness search.
 
 from __future__ import annotations
 
-from functools import lru_cache
-from itertools import combinations, permutations
+from itertools import combinations, product
 from math import comb
 
 import numpy as np
 
-from .partitions import check_partition, partitions_of, trim
+from .partitions import check_partition, partitions_of
 
 
 class BudgetExceeded(Exception):
@@ -36,159 +43,179 @@ def default_budget(N: int) -> int:
     return 20 if N <= 5 else 14
 
 
-def _check_budget(lam, n, N, budget):
+def _check_budget(degree, N, budget):
     if budget is None:
         budget = default_budget(N)
-    degree = n * sum(lam)
     if degree > budget:
         raise BudgetExceeded(
             f"plethysm degree n*|lambda| = {degree} exceeds budget {budget}"
         )
 
 
-@lru_cache(maxsize=None)
-def _slots(N, d):
-    """All length-N exponent vectors summing to d, plus an index lookup."""
-    out = []
+class _Slots:
+    """Exponent vectors of length N with every entry at most `cap`, one slot
+    table per degree, built on first use.
 
-    def rec(prefix, rem, k):
-        if k == 1:
-            out.append(prefix + (rem,))
-            return
-        for v in range(rem + 1):
-            rec(prefix + (v,), rem - v, k - 1)
-
-    rec((), d, N)
-    return out, {e: i for i, e in enumerate(out)}
-
-
-@lru_cache(maxsize=None)
-def _shift_map(N, d, v):
-    """Slot index map for multiplying a degree-d polynomial by x^v."""
-    src, _ = _slots(N, d)
-    _, tgt = _slots(N, d + sum(v))
-    return np.array(
-        [tgt[tuple(a + b for a, b in zip(e, v))] for e in src], dtype=np.int64
-    )
-
-
-def _strips(mu, lam):
-    """All mu' with mu <= mu' <= lam such that mu'/mu is a horizontal strip."""
-    rows = len(lam)
-    mu = tuple(mu) + (0,) * (rows - len(mu))
-    out = []
-
-    def rec(i, acc):
-        if i == rows:
-            out.append(tuple(x for x in acc if x))
-            return
-        lo = mu[i]
-        hi = min(lam[i], acc[-1] if acc else lam[0])
-        if i > 0:
-            hi = min(hi, mu[i - 1])  # horizontal strip: mu'_{i} <= mu_{i-1}
-        for v in range(hi, lo - 1, -1):
-            rec(i + 1, acc + [v])
-
-    rec(0, [])
-    return out
-
-
-def _monomial_table(lam, letters, N):
-    """Dominant-exponent distribution of s_lam expanded over the given letters.
-
-    The letters must be squarefree exponent vectors of one common degree.  DP
-    states are subpartitions mu of lam (tableau shape after processing a prefix
-    of the letters); values are exponent-indexed numpy arrays.
+    A vector's code is its value in base cap+1, so the codes of a table
+    increase with lex order and a shift by x^v adds the code of v.  Codes are
+    int64 while base^N fits, and Python integers beyond that.
     """
-    lam = trim(lam)
-    M = len(letters)
-    if len(lam) > M:
-        return {}
-    deg0 = sum(letters[0])
-    state = {(): np.ones(1, dtype=np.int64)}
-    for i, let in enumerate(letters):
-        rem = M - i - 1
-        new = {}
-        for mu, arr in state.items():
-            dmu = sum(mu)
-            for mu2 in _strips(mu, lam):
-                # prune states whose columns cannot be completed by the
-                # remaining rem letters (each letter adds at most one cell
-                # per column)
-                ok = True
-                for r in range(len(lam)):
-                    need = lam[r + rem] if r + rem < len(lam) else 0
-                    cur = mu2[r] if r < len(mu2) else 0
-                    if cur < need:
-                        ok = False
-                        break
-                if not ok:
-                    continue
-                size = sum(mu2) - dmu
-                tgt = new.get(mu2)
-                if tgt is None:
-                    nslots = len(_slots(N, (dmu + size) * deg0)[0])
-                    tgt = np.zeros(nslots, dtype=np.int64)
-                    new[mu2] = tgt
-                if size == 0:
-                    tgt += arr
-                else:
-                    v = tuple(x * size for x in let)
-                    np.add.at(tgt, _shift_map(N, dmu * deg0, v), arr)
-        state = new
-    arr = state.get(lam)
-    if arr is None:
-        return {}
-    exps, _ = _slots(N, sum(lam) * deg0)
-    return {
-        e: c
-        for e, c in zip(exps, arr.tolist())
-        if c and all(e[i] >= e[i + 1] for i in range(N - 1))
-    }
+
+    def __init__(self, N, cap):
+        self.N = N
+        self.cap = cap
+        base = cap + 1
+        dtype = np.int64 if base**N < 2**63 else object
+        self.weights = np.array([base ** (N - 1 - i) for i in range(N)], dtype=dtype)
+        self._tables = {}
+
+    def table(self, d):
+        """(exps, codes) of degree d: the vectors as rows in lex order, and
+        their codes."""
+        got = self._tables.get(d)
+        if got is None:
+            exps = self._vectors(d)
+            got = self._tables[d] = (exps, exps @ self.weights)
+        return got
+
+    def _vectors(self, d):
+        N, cap = self.N, self.cap
+        exps = np.zeros((1, 0), dtype=np.int64)
+        left = np.array([d], dtype=np.int64)
+        for i in range(N - 1):
+            # the entry at i leaves a remainder the N-1-i later entries can hold
+            lo = np.maximum(left - (N - 1 - i) * cap, 0)
+            counts = np.maximum(np.minimum(left, cap) - lo + 1, 0)
+            rows = np.repeat(np.arange(len(left)), counts)
+            starts = np.cumsum(counts) - counts
+            v = lo[rows] + np.arange(len(rows)) - starts[rows]
+            exps = np.column_stack([exps[rows], v])
+            left = left[rows] - v
+        return np.column_stack([exps, left])[left <= cap]
+
+    def shift(self, d, v):
+        """(src, dst) for multiplying a degree-d table by x^v: slot src[j]
+        moves to slot dst[j] of degree d+|v|; vectors pushed over the cap are
+        left out.  The shift is injective, so dst has no repeats."""
+        exps, codes = self.table(d)
+        src = np.nonzero((exps + v <= self.cap).all(axis=1))[0]
+        _, tgt = self.table(d + int(v.sum()))
+        dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
+        return src, dst
 
 
 def _wedge_letters(n, N):
     """The monomials of e_n in N variables, lex ordered on sorted subsets."""
-    return tuple(
-        tuple(1 if j in s else 0 for j in range(N)) for s in combinations(range(N), n)
+    return np.array(
+        [[1 if j in s else 0 for j in range(N)] for s in combinations(range(N), n)],
+        dtype=np.int64,
     )
 
 
-def _wedge_monomial_table(lam, n, N):
-    return _monomial_table(lam, _wedge_letters(n, N), N)
+def _shapes(bound, w):
+    """Every partition inside the shape `bound` with at most w boxes."""
+    out = []
 
+    def rec(prefix, left):
+        out.append(prefix)
+        i = len(prefix)
+        if i < len(bound):
+            for v in range(1, min(bound[i], left, prefix[-1] if prefix else left) + 1):
+                rec(prefix + (v,), left - v)
 
-@lru_cache(maxsize=None)
-def _kostka_row(alpha, N):
-    """Dominant monomial expansion of the single Schur polynomial s_alpha."""
-    letters = tuple(tuple(1 if j == i else 0 for j in range(N)) for i in range(N))
-    return _monomial_table(alpha, letters, N)
-
-
-def _straighten(table, N):
-    """Convert a dominant monomial table to the Schur basis.
-
-    Subtracts the Schur polynomial of the lex-greatest dominant exponent (its
-    own coefficient there is 1 by Kostka unitriangularity) until the table is
-    empty.  A negative leading coefficient would contradict Schur positivity
-    and raises immediately.
-    """
-    table = dict(table)
-    out = {}
-    while table:
-        alpha = max(table)
-        c = table[alpha]
-        if c < 0:
-            raise AssertionError(f"negative Schur coefficient {c} at {alpha}")
-        mu = trim(alpha)
-        out[mu] = c
-        for beta, k in _kostka_row(mu, N).items():
-            t = table.get(beta, 0) - c * k
-            if t:
-                table[beta] = t
-            else:
-                table.pop(beta, None)
+    rec((), w)
     return out
+
+
+def _strip_sources(nu):
+    """Every mu != nu such that nu/mu is a horizontal strip."""
+    lower = nu[1:] + (0,)
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, nu)]
+    return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
+
+
+def _tableau_tables(letters, slots, bound, w):
+    """Exponent tables of s_nu over the letters, for every shape nu of size w
+    inside `bound`, from one DP over the letters.
+
+    A shape is kept only while the letters left can still add the horizontal
+    strips that complete it to size w inside `bound`.  Each letter updates
+    the shapes in place, largest first: every source of a shape is strictly
+    smaller, so it still holds its value from before the letter.
+    """
+    deg = int(letters[0].sum())
+    order = sorted(_shapes(bound, w), key=sum, reverse=True)
+    sources = {nu: [(mu, sum(mu)) for mu in _strip_sources(nu)] for nu in order}
+    # fewest letters (horizontal strips) that complete each shape
+    need = {nu: 0 if sum(nu) == w else len(letters) + 1 for nu in order}
+    for nu in order:
+        for mu, _ in sources[nu]:
+            need[mu] = min(need[mu], need[nu] + 1)
+    state = {(): np.ones(1, dtype=np.int64)}
+    for i, letter in enumerate(letters):
+        rem = len(letters) - 1 - i
+        maps = {}
+        for nu in order:
+            if need[nu] > rem:
+                continue
+            size = sum(nu)
+            tgt = state.get(nu)
+            for mu, msize in sources[nu]:
+                arr = state.get(mu)
+                if arr is None:
+                    continue
+                key = (msize, size - msize)
+                m = maps.get(key)
+                if m is None:
+                    m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
+                if tgt is None:
+                    _, codes = slots.table(size * deg)
+                    tgt = state[nu] = np.zeros(len(codes), dtype=np.int64)
+                src, dst = m
+                tgt[dst] += arr[src]
+        state = {mu: arr for mu, arr in state.items() if need[mu] <= rem}
+    return {nu: arr for nu, arr in state.items() if sum(nu) == w}
+
+
+def _wedge_table(lam, n, N, cap):
+    """(slots, table) of s_lam[e_n] in N variables with entries up to cap;
+    the table is None when lam has more rows than e_n has monomials."""
+    slots = _Slots(N, cap)
+    tables = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam))
+    return slots, tables.get(lam)
+
+
+def _alternation(slots, mu):
+    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
+    sum(signs * arr[idx]).
+
+    Only permutations p with p(i) >= i - mu_i keep the exponent
+    mu_i - i + p(i) of mu + rho - p.rho non-negative.  Those allowed sets
+    shrink as i grows, so rows are filled from the last one.  Exponent
+    vectors over the cap are left out: the cap is chosen so that their
+    coefficients are zero or never needed.
+    """
+    N = slots.N
+    mu = tuple(mu) + (0,) * (N - len(mu))
+    perms = np.zeros((1, 0), dtype=np.int64)
+    signs = np.ones(1, dtype=np.int64)
+    for i in range(N - 1, -1, -1):
+        free = np.ones((len(perms), N), dtype=bool)
+        free[np.arange(len(perms))[:, None], perms] = False
+        free[:, : max(0, i - mu[i])] = False
+        rows, vals = np.nonzero(free)
+        inversions = (perms[rows] < vals[:, None]).sum(axis=1)
+        signs = signs[rows] * (1 - 2 * (inversions % 2))
+        perms = np.column_stack([vals, perms[rows]])
+    betas = np.array(mu) - np.arange(N) + perms
+    ok = (betas <= slots.cap).all(axis=1)
+    idx = np.searchsorted(slots.table(sum(mu))[1], betas[ok] @ slots.weights)
+    return idx, signs[ok]
+
+
+def _coefficient(arr, alternation):
+    idx, signs = alternation
+    return sum((arr[idx] * signs).tolist())
 
 
 def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
@@ -203,43 +230,45 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         N = 2 * n + 1
     if not (1 <= n <= N):
         raise ValueError("need 1 <= n <= N")
-    _check_budget(lam, n, N, budget)
-    return _straighten(_wedge_monomial_table(lam, n, N), N)
-
-
-def _schur_coefficient(table, mu, N):
-    """Coefficient of s_mu in the symmetric polynomial with dominant monomial
-    table `table`, by Weyl character alternation: sum over w in S_N of
-    sgn(w) * [x^(mu + rho - w rho)].  Avoids straightening the whole table."""
-    rho = tuple(range(N - 1, -1, -1))
-    total = 0
-    for p in permutations(range(N)):
-        beta = tuple(mu[i] + rho[i] - rho[p[i]] for i in range(N))
-        if min(beta) < 0:
-            continue
-        coeff = table.get(tuple(sorted(beta, reverse=True)))
-        if not coeff:
-            continue
-        inv = sum(1 for i in range(N) for j in range(i + 1, N) if p[i] > p[j])
-        total += -coeff if inv % 2 else coeff
-    return total
+    _check_budget(n * sum(lam), N, budget)
+    # each box adds at most 1 to an entry, so the cap |lam| drops nothing
+    slots, arr = _wedge_table(lam, n, N, sum(lam))
+    if arr is None:
+        return {}
+    exps, _ = slots.table(n * sum(lam))
+    # c_mu != 0 needs x^mu in the table, since Kostka numbers are >= 0
+    dominant = (arr != 0) & (exps[:, :-1] >= exps[:, 1:]).all(axis=1)
+    out = {}
+    for e in exps[dominant].tolist():
+        c = _coefficient(arr, _alternation(slots, e))
+        if c < 0:
+            raise AssertionError(f"negative Schur coefficient {c} at {e}")
+        if c:
+            out[tuple(x for x in e if x)] = c
+    return out
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):
     """(k, multiplicity) of the determinant power det^k inside S^lam(wedge^n V).
 
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
-    multiplicity is 0 and k is None.  The multiplicity is read off the Schur
-    expansion of the plethysm.
+    multiplicity is 0 and k is None.  The multiplicity is one alternation
+    lookup in the monomial table of the plethysm.
     """
     lam = check_partition(lam)
+    if n < 1:
+        raise ValueError("need n >= 1")
     N = 2 * n + 1
     total = n * sum(lam)
     if total % N:
         return None, 0
     k = total // N
-    expansion = plethysm_wedge(lam, n, N, budget=budget)
-    return k, expansion.get(trim((k,) * N), 0)
+    _check_budget(total, N, budget)
+    # a lookup of s_(k^N) reads exponents up to k+N-1 only
+    slots, arr = _wedge_table(lam, n, N, min(k + N - 1, sum(lam)))
+    if arr is None:
+        return k, 0
+    return k, _coefficient(arr, _alternation(slots, (k,) * N))
 
 
 def find_witness(n: int, degree_bound: int, budget: int | None = None):
@@ -247,24 +276,25 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
     s_lambda[e_n] contains a determinant power with multiplicity >= 2.
 
     Returns (lambda, k, multiplicity) or None when the bound is exhausted.
-    Budget errors propagate.  The determinant coefficient is extracted from
-    the monomial table by character alternation, which matches
-    determinant_multiplicity everywhere (property-tested) but skips the full
-    straightening.
+    Budget errors propagate.  One DP pass per degree builds the monomial
+    tables of every lambda of that degree; each candidate then costs one
+    alternation lookup.
     """
     if n < 2:
         raise ValueError("witness search needs n >= 2")
     N = 2 * n + 1
-    M = comb(N, n)
+    letters = _wedge_letters(n, N)
+    M = len(letters)
     for w in range(1, degree_bound + 1):
         if (n * w) % N:
             continue  # no determinant power can occur in this degree
         k = n * w // N
-        mu = (k,) * N
+        _check_budget(n * w, N, budget)
+        slots = _Slots(N, min(k + N - 1, w))
+        tables = _tableau_tables(letters, slots, (w,) * min(w, M), w)
+        alternation = _alternation(slots, (k,) * N)
         for lam in partitions_of(w, max_rows=M):
-            _check_budget(lam, n, N, budget)
-            table = _wedge_monomial_table(lam, n, N)
-            m = _schur_coefficient(table, mu, N)
+            m = _coefficient(tables[lam], alternation)
             if m >= 2:
                 return lam, k, m
     return None

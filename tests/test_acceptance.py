@@ -113,10 +113,10 @@ def test_degree_ten_witness_exists():
 
 
 def test_first_witness_is_at_degree_fifteen():
-    # budget: 60 seconds
+    # budget: 15 seconds
     start = time.perf_counter()
     assert find_witness(2, 15, budget=30) == ((7, 4, 2, 1, 1), 6, 2)
-    assert time.perf_counter() - start < 60.0
+    assert time.perf_counter() - start < 15.0
 
 
 def test_serre_duality_corpus():

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from cypairs.bundles import Bundle, tensor, wedge_q
 from cypairs.cli import _exit_code, _overall, _parse_expression, main
 
@@ -102,6 +104,13 @@ def test_plethysm_command(capsys):
     code, out = run_json(capsys, ["plethysm", "--lam", "5,5,5", "--wedge", "3"])
     assert code == 0
     assert out["status"] == "indeterminate"
+    # wedge^3(wedge^2 C^3) = det^2: the power is read in the --nvars variables
+    code, out = run_json(
+        capsys, ["plethysm", "--lam", "1,1,1", "--wedge", "2", "--nvars", "3"]
+    )
+    assert code == 0
+    assert out["expansion"]["terms"] == [{"mu": [2, 2, 2], "coeff": 1}]
+    assert out["determinant"] == {"power": 2, "multiplicity": 1}
 
 
 def test_pluecker_command_is_deterministic(capsys):
@@ -140,6 +149,19 @@ def test_parse_error_exits_two(capsys):
     assert main(["decompose", "Q +", "--n", "2"]) == 2
     captured = capsys.readouterr()
     assert "error" in captured.err
+
+
+@pytest.mark.parametrize("argv", [
+    ["bwb", "--n", "0"],
+    ["pluecker", "--trials", "0"],
+    ["pluecker", "--trials", "-1"],
+])
+def test_bad_input_exits_two_with_one_line(capsys, argv):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_text_rendering(capsys):
