@@ -75,6 +75,8 @@ _TOKEN = re.compile(r"wedgeQ|Udual|Q|O|[(),*+]|-?\d+|\S")
 
 def _parse_expression(text: str, n: int) -> dict:
     """Sums of tensor products of the atoms Q, Udual, O(t), wedgeQ(k[,t])."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
     tokens = _TOKEN.findall(text)
     pos = 0
 

@@ -21,10 +21,13 @@ def trim(parts) -> tuple:
 
 
 def is_partition(parts) -> bool:
-    parts = tuple(parts)
-    return all(isinstance(x, int) and x >= 0 for x in parts) and all(
-        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
-    )
+    """Whether parts (any iterable) are non-negative ints, weakly decreasing."""
+    prev = None
+    for x in parts:
+        if not isinstance(x, int) or x < 0 or prev is not None and x > prev:
+            return False
+        prev = x
+    return True
 
 
 def check_partition(parts) -> tuple:

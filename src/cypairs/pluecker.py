@@ -11,7 +11,14 @@ samples that equation exactly: it always holds for the identity section,
 and for a random S it should never hold, in line with the dimension gap
 between GL(V) and the flag of the Pluecker ambient.
 
-All arithmetic is over Fraction; equality checks are exact.
+Inside, every probe matrix and every minor is a plain int: minors come from
+Bareiss fraction-free elimination, whose divisions are exact.  The public
+functions take and return Fractions; `det` and `compound` clear each row's
+denominators, run the integer kernel and divide back.  The probe decides
+S M = M S^T in two exact steps: a fixed integer vector r with
+S (M r) != M (S^T r) proves the products differ, so each non-hit is
+certified by four matrix-vector products, and only when the two vectors
+agree are the full products compared.
 """
 
 from __future__ import annotations
@@ -19,7 +26,8 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 from itertools import combinations
-from math import comb
+from math import comb, lcm, prod
+from operator import mul
 
 from .symfunc import dimension_gap
 
@@ -42,14 +50,22 @@ def transpose(a) -> tuple:
     return tuple(zip(*as_matrix(a)))
 
 
+def _mul(a, b) -> tuple:
+    """a b for nested sequences of exact numbers (ints or Fractions)."""
+    bt = tuple(zip(*b))
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
+
+
+def _apply(a, v) -> tuple:
+    """a v for exact numbers."""
+    return tuple(sum(map(mul, row, v)) for row in a)
+
+
 def mat_mul(a, b) -> tuple:
     a, b = as_matrix(a), as_matrix(b)
     if len(a[0]) != len(b):
         raise ValueError("shape mismatch")
-    bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return _mul(a, b)
 
 
 def mat_vec(a, v) -> tuple:
@@ -57,30 +73,52 @@ def mat_vec(a, v) -> tuple:
     v = tuple(Fraction(x) for x in v)
     if len(a[0]) != len(v):
         raise ValueError("shape mismatch")
-    return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+    return _apply(a, v)
+
+
+def _bareiss(rows) -> int:
+    """Determinant of a square int matrix by Bareiss fraction-free elimination.
+
+    After step c every entry below row c is a (c+1)-order minor of the input,
+    so the division by the previous pivot is exact.  `rows` is not modified.
+    """
+    a = [list(row) for row in rows]
+    d = len(a)
+    if not d:
+        return 1
+    sign, prev = 1, 1
+    for c in range(d - 1):
+        if not a[c][c]:
+            piv = next((r for r in range(c + 1, d) if a[r][c]), None)
+            if piv is None:
+                return 0
+            a[c], a[piv] = a[piv], a[c]
+            sign = -sign
+        top = a[c]
+        p = top[c]
+        for row in a[c + 1:]:
+            f = row[c]
+            for j in range(c + 1, d):
+                row[j] = (p * row[j] - f * top[j]) // prev
+        prev = p
+    return sign * a[-1][-1]
+
+
+def _compound(rows, k: int) -> tuple:
+    """k-th compound of an int matrix, subsets in lexicographic order."""
+    cols = list(combinations(range(len(rows[0]) if rows else 0), k))
+    return tuple(
+        tuple(_bareiss([[rows[i][j] for j in J] for i in I]) for J in cols)
+        for I in combinations(range(len(rows)), k)
+    )
 
 
 def det(a) -> Fraction:
-    """Exact determinant by fraction elimination with partial pivoting."""
-    a = [list(row) for row in as_matrix(a)]
-    d = len(a)
-    if d and len(a[0]) != d:
+    """Exact determinant: the one minor of full order."""
+    a = as_matrix(a)
+    if a and len(a[0]) != len(a):
         raise ValueError("determinant of a nonsquare matrix")
-    out = Fraction(1)
-    for c in range(d):
-        piv = next((r for r in range(c, d) if a[r][c]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != c:
-            a[c], a[piv] = a[piv], a[c]
-            out = -out
-        out *= a[c][c]
-        for r in range(c + 1, d):
-            f = a[r][c] / a[c][c]
-            if f:
-                for j in range(c, d):
-                    a[r][j] -= f * a[c][j]
-    return out
+    return compound(a, len(a))[0][0]
 
 
 def inverse(a) -> tuple:
@@ -105,17 +143,22 @@ def inverse(a) -> tuple:
 
 def compound(a, k: int) -> tuple:
     """k-th compound: minors on k-subsets of rows and columns, both in
-    lexicographic order.  Functorial: compound(AB) = compound(A) compound(B)."""
+    lexicographic order.  Functorial: compound(AB) = compound(A) compound(B).
+
+    Each row is scaled to integers by the lcm of its denominators, so a
+    minor of `a` is the integer minor divided by the scales of its rows."""
     a = as_matrix(a)
     m, p = len(a), len(a[0]) if a else 0
     if not 0 <= k <= min(m, p):
         raise ValueError(f"compound order {k} out of range for {m}x{p}")
-    if k == 0:
-        return ((Fraction(1),),)
-    rows = list(combinations(range(m), k))
-    cols = list(combinations(range(p), k))
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    rows = [
+        [x.numerator * (s // x.denominator) for x in row]
+        for row, s in zip(a, scales)
+    ]
     return tuple(
-        tuple(det([[a[i][j] for j in J] for i in I]) for J in cols) for I in rows
+        tuple(Fraction(x, prod(scales[i] for i in I)) for x in minors)
+        for I, minors in zip(combinations(range(m), k), _compound(rows, k))
     )
 
 
@@ -146,16 +189,29 @@ def transposition_action(s, m) -> tuple:
     return mat_mul(mat_mul(inverse(m), transpose(s)), m)
 
 
+def _twist_fixes(s, m, r) -> bool:
+    """S M == M S^T for square int matrices, decided exactly.
+
+    Unequal vectors S (M r) and M (S^T r) prove the products differ, so a
+    False from that step is certified; only when they agree are the full
+    products compared.
+    """
+    st = tuple(zip(*s))
+    if _apply(s, _apply(m, r)) != _apply(m, _apply(st, r)):
+        return False
+    return _mul(s, m) == _mul(m, st)
+
+
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
     return tuple(
-        tuple(Fraction(rng.randint(lo, hi)) for _ in range(cols)) for _ in range(rows)
+        tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows)
     )
 
 
 def _random_invertible(rng, d):
     while True:
         m = _random_matrix(rng, d, d, -4, 4)
-        if det(m):
+        if _bareiss(m):
             return m
 
 
@@ -166,7 +222,8 @@ def symmetry_obstruction_probe(n: int, trials: int = 50, seed: int = 0) -> dict:
     compound matrices; the identity section is kept as a control, since it
     satisfies the equation for every M.  The dimension gap between GL(V) and
     the ambient flag is reported alongside: together, a hit count of zero
-    and the gap exhibit the fixed-section condition as nongeneric.
+    and the gap exhibit the fixed-section condition as nongeneric.  Each
+    non-hit is an exact certificate that S M != M S^T for that M.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -177,13 +234,15 @@ def symmetry_obstruction_probe(n: int, trials: int = 50, seed: int = 0) -> dict:
     N = 2 * n + 1
     D = comb(N, n)
     s = _random_matrix(rng, D, D)
-    one = identity(D)
+    one = tuple(tuple(int(i == j) for j in range(D)) for i in range(D))
+    # fixed, so the seeded stream of S and M is the same as without the test
+    r = tuple(range(1, D + 1))
     hits = 0
     control_hits = 0
     for _ in range(trials):
-        m = compound(_random_invertible(rng, N), n)
-        hits += mat_mul(s, m) == mat_mul(m, transpose(s))
-        control_hits += mat_mul(one, m) == mat_mul(m, transpose(one))
+        m = _compound(_random_invertible(rng, N), n)
+        hits += _twist_fixes(s, m, r)
+        control_hits += _twist_fixes(one, m, r)
     flag_dim, group_dim, gap_holds = dimension_gap(n)
     return {
         "n": n,

@@ -122,6 +122,15 @@ def test_pluecker_command_is_deterministic(capsys):
     assert first == second
 
 
+def test_pluecker_probe_at_n_four(capsys):
+    # the 126 x 126 compounds of GL(9): every trial a certified non-hit
+    code, out = run_json(capsys, ["pluecker", "--n", "4", "--trials", "2"])
+    assert code == 0 and out["status"] == "assumption"
+    assert out["ambient_size"] == 126
+    assert out["hits"] == 0 and out["identity_control_hits"] == 2
+    assert out["obstructed"] is True
+
+
 def test_verify_suite(capsys):
     code, out = run_json(capsys, ["verify", "--n", "2", "--trials", "3"])
     assert code == 0
@@ -155,6 +164,8 @@ def test_parse_error_exits_two(capsys):
     ["bwb", "--n", "0"],
     ["pluecker", "--trials", "0"],
     ["pluecker", "--trials", "-1"],
+    ["decompose", "Q", "--n", "0"],
+    ["decompose", "Q", "--n", "-1"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -1,10 +1,14 @@
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from cypairs.partitions import (
     conjugate,
+    is_partition,
     littlewood_richardson,
     partitions_of,
     trim,
@@ -37,6 +41,33 @@ def test_trim():
     assert trim((3, 1, 0, 0)) == (3, 1)
     assert trim(()) == ()
     assert trim((0, 0)) == ()
+
+
+def is_partition_two_pass(parts):
+    # the earlier two-pass definition, kept as the reference
+    parts = tuple(parts)
+    return all(isinstance(x, int) and x >= 0 for x in parts) and all(
+        parts[i] >= parts[i + 1] for i in range(len(parts) - 1)
+    )
+
+
+_ENTRY = st.one_of(
+    st.integers(-3, 6),
+    st.booleans(),
+    st.sampled_from([1.0, 2.5, "1", None, Fraction(1)]),
+)
+
+
+@given(
+    st.one_of(
+        st.lists(_ENTRY, max_size=8),
+        st.lists(st.integers(-1, 6), max_size=8).map(lambda xs: sorted(xs, reverse=True)),
+    ),
+    st.sampled_from([tuple, list, iter]),
+)
+def test_is_partition_matches_two_pass_definition(parts, container):
+    # any iterable is accepted, bools count as ints, non-ints are rejected
+    assert is_partition(container(parts)) == is_partition_two_pass(parts)
 
 
 def test_conjugate_known():

@@ -2,8 +2,14 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations
+
+import pytest
 
 from cypairs.pluecker import (
+    _apply,
+    _compound,
+    _twist_fixes,
     as_matrix,
     compound,
     det,
@@ -212,3 +218,147 @@ def test_symmetry_probe_degenerate_case_is_honest():
     assert not probe["gap_holds"]
     assert not probe["obstructed"]
     assert probe["identity_control_hits"] == 10
+
+
+# recorded from the Fraction implementation the integer probe replaced; the
+# seeded stream of S and M is unchanged, so every field must match
+PROBE_RECORDED = {
+    (1, 10, 3): {
+        "n": 1, "ambient_size": 3, "trials": 10, "hits": 0,
+        "identity_control_hits": 10, "flag_dimension": 3, "group_dimension": 9,
+        "gap_holds": False, "obstructed": False,
+    },
+    (2, 20, 0): {
+        "n": 2, "ambient_size": 10, "trials": 20, "hits": 0,
+        "identity_control_hits": 20, "flag_dimension": 45, "group_dimension": 25,
+        "gap_holds": True, "obstructed": True,
+    },
+    (2, 5, 1): {
+        "n": 2, "ambient_size": 10, "trials": 5, "hits": 0,
+        "identity_control_hits": 5, "flag_dimension": 45, "group_dimension": 25,
+        "gap_holds": True, "obstructed": True,
+    },
+    (3, 5, 0): {
+        "n": 3, "ambient_size": 35, "trials": 5, "hits": 0,
+        "identity_control_hits": 5, "flag_dimension": 595, "group_dimension": 49,
+        "gap_holds": True, "obstructed": True,
+    },
+    (3, 5, 1): {
+        "n": 3, "ambient_size": 35, "trials": 5, "hits": 0,
+        "identity_control_hits": 5, "flag_dimension": 595, "group_dimension": 49,
+        "gap_holds": True, "obstructed": True,
+    },
+    (3, 2, 7): {
+        "n": 3, "ambient_size": 35, "trials": 2, "hits": 0,
+        "identity_control_hits": 2, "flag_dimension": 595, "group_dimension": 49,
+        "gap_holds": True, "obstructed": True,
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(PROBE_RECORDED))
+def test_symmetry_probe_matches_recorded(case):
+    n, trials, seed = case
+    assert symmetry_obstruction_probe(n, trials, seed) == PROBE_RECORDED[case]
+
+
+def random_rational_matrix(rng, d):
+    return as_matrix(
+        [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
+         for _ in range(d)]
+    )
+
+
+def test_det_and_compound_match_sympy():
+    sympy = pytest.importorskip("sympy")
+
+    def oracle_det(rows):
+        # Berkowitz shares no elimination step with the engine
+        value = sympy.Matrix(
+            [[sympy.Rational(x.numerator, x.denominator) for x in row] for row in rows]
+        ).det(method="berkowitz")
+        return Fraction(int(value.p), int(value.q))
+
+    rng = random.Random(131)
+    corpus = []
+    for d in range(1, 6):
+        for _ in range(6):
+            corpus.append(random_matrix(rng, d, d, -3, 3))
+            corpus.append(random_rational_matrix(rng, d))
+        # singular, and with a zero leading entry, so the pivot search runs
+        a = [list(row) for row in random_matrix(rng, d, d)]
+        if d > 1:
+            a[-1] = a[0]
+            corpus.append(as_matrix(a))
+            a = [list(row) for row in random_rational_matrix(rng, d)]
+            a[0][0] = 0
+            corpus.append(as_matrix(a))
+    for a in corpus:
+        d = len(a)
+        value = det(a)
+        assert isinstance(value, Fraction) and value == oracle_det(a)
+        for k in range(d + 1):
+            got = compound(a, k)
+            subsets = list(combinations(range(d), k))
+            assert got == tuple(
+                tuple(oracle_det([[a[i][j] for j in J] for i in I]) for J in subsets)
+                for I in subsets
+            )
+            assert all(isinstance(x, Fraction) for row in got for x in row)
+
+
+def product(a, b):
+    # explicit triple sum, independent of the module's products
+    return [
+        [sum(a[i][t] * b[t][j] for t in range(len(b))) for j in range(len(b[0]))]
+        for i in range(len(a))
+    ]
+
+
+def test_twist_predicate_is_exactly_the_matrix_equation():
+    rng = random.Random(149)
+    checked = hits = 0
+    for _ in range(40):
+        big = rng.randint(3, 5)
+        k = rng.randint(1, big - 1)
+        perm = list(range(big))
+        rng.shuffle(perm)
+        # compound of a permutation: a signed permutation matrix P, P^T = P^-1
+        p = _compound([[int(perm[i] == j) for j in range(big)] for i in range(big)], k)
+        d = len(p)
+        powers = [tuple(tuple(int(i == j) for j in range(d)) for i in range(d))]
+        while True:
+            nxt = tuple(map(tuple, product(powers[-1], p)))
+            if nxt == powers[0]:
+                break
+            powers.append(nxt)
+        x = [[rng.randint(-3, 3) for _ in range(d)] for _ in range(d)]
+        x = [[x[i][j] + x[j][i] for j in range(d)] for i in range(d)]
+        # symmetric and averaged over the cyclic group of P, so S P = P S = P S^T
+        fixed = [[0] * d for _ in range(d)]
+        for q in powers:
+            term = product(product(q, x), list(zip(*q)))
+            fixed = [[u + v for u, v in zip(r1, r2)] for r1, r2 in zip(fixed, term)]
+        general = random_invertible(rng, big)
+        m = _compound([[int(v) for v in row] for row in general], k)
+        for s, mat in ((fixed, p), (x, p), (fixed, m), (x, m)):
+            s = tuple(map(tuple, s))
+            r = tuple(rng.randint(-5, 5) for _ in range(d))
+            want = product(s, mat) == product(mat, list(zip(*s)))
+            assert _twist_fixes(s, mat, r) is want
+            hits += want
+            checked += 1
+    assert hits >= 40 and checked - hits >= 40
+
+
+def test_twist_predicate_full_compare_after_agreeing_vectors():
+    # S - S^T = u v^T - v u^T with u, v orthogonal to r: the vectors agree
+    # for M = I, so only the full comparison can refute the equation
+    r = (1, 2, 3, 4)
+    u, v = (2, -1, 0, 0), (0, 4, 0, -2)
+    a = [[u[i] * v[j] - v[i] * u[j] for j in range(4)] for i in range(4)]
+    s = tuple(tuple(a[i][j] if j > i else 0 for j in range(4)) for i in range(4))
+    one = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
+    assert _apply(s, _apply(one, r)) == _apply(one, _apply(tuple(zip(*s)), r))
+    assert not _twist_fixes(s, one, r)
+    assert _twist_fixes(one, one, r)
