@@ -398,7 +398,7 @@ def main(argv=None) -> int:
     start = time.perf_counter()
     try:
         result = args.handler(args)
-    except ValueError as exc:
+    except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     if args.json:

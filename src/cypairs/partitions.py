@@ -9,7 +9,7 @@ Everything here is exact integer arithmetic.
 
 from __future__ import annotations
 
-from math import prod
+from math import factorial, prod
 
 
 def trim(parts) -> tuple:
@@ -51,18 +51,41 @@ def conjugate(p) -> tuple:
 
 
 def partitions_of(w: int, max_part: int | None = None, max_rows: int | None = None):
-    """Yield the partitions of w in descending lex order (graded lex within w)."""
-    if max_part is None:
-        max_part = w
+    """Yield the partitions of w in descending lex order (graded lex within w),
+    with parts at most max_part and at most max_rows rows.
+
+    Each step keeps the longest prefix it can: the rightmost row that can
+    lose one box while the rows after it still hold the rest is decremented,
+    and the rest is packed greedily below it.
+    """
     if w == 0:
         yield ()
         return
-    if max_rows is not None and max_rows <= 0:
+    if max_part is None:
+        max_part = w
+    if max_rows is None:
+        max_rows = w
+    top = min(w, max_part)
+    if top <= 0 or w > top * max_rows:
         return
-    for first in range(min(w, max_part), 0, -1):
-        rows_left = None if max_rows is None else max_rows - 1
-        for rest in partitions_of(w - first, first, rows_left):
-            yield (first,) + rest
+    parts = [top] * (w // top)
+    if w % top:
+        parts.append(w % top)
+    while True:
+        yield tuple(parts)
+        rest = 0
+        for j in range(len(parts) - 1, -1, -1):
+            p = parts[j] - 1
+            rest += 1
+            if p and rest <= p * (max_rows - 1 - j):
+                break
+            rest += p
+        else:
+            return
+        del parts[j:]
+        parts += [p] * (rest // p + 1)
+        if rest % p:
+            parts.append(rest % p)
 
 
 def weyl_dimension(w, rank: int | None = None) -> int:
@@ -81,7 +104,8 @@ def weyl_dimension(w, rank: int | None = None) -> int:
     if any(w[i] < w[i + 1] for i in range(rank - 1)):
         raise ValueError(f"weight is not weakly decreasing: {w!r}")
     num = prod(w[i] - w[j] + j - i for i in range(rank) for j in range(i + 1, rank))
-    den = prod(j - i for i in range(rank) for j in range(i + 1, rank))
+    # prod_{i<j} (j - i) is the superfactorial prod_{k<rank} k!
+    den = prod(factorial(k) for k in range(rank))
     q, r = divmod(num, den)
     assert r == 0 and q >= 1
     return q

@@ -7,8 +7,9 @@ binomial(N, n) squarefree monomials of e_n, treated as formal letters in a fixed
 lexicographic order.  A semistandard tableau DP adds the letters one at a time,
 each as a horizontal strip; its state is the tableau shape, and each shape
 holds the exponent-vector distribution of its partial polynomial as a numpy
-int64 array over a slot table: the exponent vectors of one degree, in lex
-order, with strictly increasing integer codes.  Multiplying by a letter shifts
+array over a slot table: the exponent vectors of one degree, in lex order,
+with strictly increasing integer codes.  The counts are int64 when no count
+can reach 2^63, and Python integers otherwise.  Multiplying by a letter shifts
 codes, and `searchsorted` finds the target slots.  Exponents never decrease
 along the DP, so a vector with an entry above a cap that no later lookup can
 use is dropped.  One pass yields the tables of every shape of a degree, which
@@ -134,6 +135,16 @@ def _strip_sources(nu):
     return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
 
 
+def _count_dtype(M, w):
+    """dtype of the DP counts for shapes of size at most w over M letters.
+
+    A count of shape nu is a number of semistandard tableaux of shape nu
+    with one content, at most dim S^nu(C^M) <= M^|nu|.  So int64 holds every
+    count while M^w < 2^63, and Python integers are used beyond that.
+    """
+    return np.int64 if M**w < 2**63 else object
+
+
 def _tableau_tables(letters, slots, bound, w):
     """Exponent tables of s_nu over the letters, for every shape nu of size w
     inside `bound`, from one DP over the letters.
@@ -151,7 +162,8 @@ def _tableau_tables(letters, slots, bound, w):
     for nu in order:
         for mu, _ in sources[nu]:
             need[mu] = min(need[mu], need[nu] + 1)
-    state = {(): np.ones(1, dtype=np.int64)}
+    dtype = _count_dtype(len(letters), w)
+    state = {(): np.ones(1, dtype=dtype)}
     for i, letter in enumerate(letters):
         rem = len(letters) - 1 - i
         maps = {}
@@ -170,7 +182,7 @@ def _tableau_tables(letters, slots, bound, w):
                     m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
                 if tgt is None:
                     _, codes = slots.table(size * deg)
-                    tgt = state[nu] = np.zeros(len(codes), dtype=np.int64)
+                    tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
                 src, dst = m
                 tgt[dst] += arr[src]
         state = {mu: arr for mu, arr in state.items() if need[mu] <= rem}

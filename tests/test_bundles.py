@@ -7,12 +7,15 @@ import pytest
 
 from cypairs.bundles import (
     Bundle,
+    _twisted_schur_vanishing,
     cohomology_table,
     rank,
     tensor,
     verify_vanishing_claims,
     wedge_q,
 )
+from cypairs.bwb import bott, canonicalize, cohomology, to_weight
+from cypairs.partitions import partitions_of
 
 Q = Bundle((), (1,), 0)
 UDUAL = Bundle((1,), (), 0)
@@ -111,6 +114,44 @@ def test_twisted_schur_escapes_are_full_rows():
     for e in c["escapes"]:
         assert len(e["q"]) == 4 and e["q"][-1] >= -e["twist"]
         assert e["degree"] == 0
+
+
+def box(n):
+    # q in the (n+1) x (n-1) box, graded lex
+    for w in range((n - 1) * (n + 1) + 1):
+        yield from partitions_of(w, max_part=n - 1, max_rows=n + 1)
+
+
+def twisted_schur_by_cases(n):
+    # the per-case sweep kept as the reference: canonicalize, then the Bott
+    # walk, for every (q, i)
+    cases = 0
+    escapes = []
+    for q in box(n):
+        for i in range(1, 2 * n + 1):
+            cases += 1
+            c = cohomology(canonicalize(Bundle((), q, -i), n), n)
+            if c is not None:
+                escapes.append({"q": q, "twist": -i, "degree": c.degree, "dim": c.dim})
+    return cases, escapes
+
+
+def test_twisted_schur_sweep_matches_per_case_walk():
+    for n in range(2, 8):
+        got = _twisted_schur_vanishing(n)
+        assert (got["cases"], got["escapes"]) == twisted_schur_by_cases(n), n
+
+
+def test_twisted_schur_collision_interval():
+    # S^q(Q)(-i) is acyclic exactly when a shifted q entry lies in (i, i+n]
+    for n in range(2, 7):
+        for q in box(n):
+            padded = q + (0,) * (n + 1 - len(q))
+            shifted = [x + 2 * n + 1 - j for j, x in enumerate(padded)]
+            for i in range(1, 2 * n + 1):
+                collides = any(i < s <= i + n for s in shifted)
+                vanishes = bott(to_weight(Bundle((), q, -i), n)) is None
+                assert collides == vanishes, (n, q, i)
 
 
 def test_double_wedge_single_escape():

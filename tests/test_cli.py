@@ -175,6 +175,17 @@ def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert captured.err.count("\n") == 1
 
 
+def test_arithmetic_error_exits_two_with_one_line(capsys, monkeypatch):
+    def indeterminate(n, detail=False):
+        raise ArithmeticError("restriction indeterminate; no dimension count")
+
+    monkeypatch.setattr("cypairs.cli.family_dimension", indeterminate)
+    assert main(["koszul", "family-dim", "--n", "3"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: restriction indeterminate; no dimension count\n"
+
+
 def test_text_rendering(capsys):
     assert main(["hodge", "--n", "2"]) == 0
     captured = capsys.readouterr()

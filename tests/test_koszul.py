@@ -144,7 +144,7 @@ def test_family_dimension_small():
 def test_family_dimension_binomial_oracle():
     # for n >= 3 the tangent restriction contributes the traceless ambient
     # algebra and nothing else, so the count collapses to pure binomials
-    for n in (3, 4):
+    for n in range(3, 9):
         N = 2 * n + 1
         oracle = comb(N, n) ** 2 - comb(N, n - 1) ** 2 - (N * N - 1) - 1
         assert family_dimension(n) == oracle

@@ -159,3 +159,46 @@ def test_partitions_of_graded_lex_order():
     got = list(partitions_of(4))
     assert got == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
     assert list(partitions_of(4, max_rows=2)) == [(4,), (3, 1), (2, 2)]
+
+
+def partitions_recursive(w, max_part=None, max_rows=None):
+    # the earlier recursive definition, kept as the reference
+    if max_part is None:
+        max_part = w
+    if w == 0:
+        yield ()
+        return
+    if max_rows is not None and max_rows <= 0:
+        return
+    for first in range(min(w, max_part), 0, -1):
+        rows_left = None if max_rows is None else max_rows - 1
+        for rest in partitions_recursive(w - first, first, rows_left):
+            yield (first,) + rest
+
+
+def test_partitions_of_matches_recursive_definition():
+    bounds = (None, 0, 1, 3, 7)
+    for w in range(21):
+        for max_part in bounds:
+            for max_rows in bounds:
+                got = partitions_of(w, max_part=max_part, max_rows=max_rows)
+                want = partitions_recursive(w, max_part, max_rows)
+                assert list(got) == list(want), (w, max_part, max_rows)
+
+
+def weyl_dimension_pairwise(w):
+    # the earlier formula: both products over all pairs i < j
+    r = len(w)
+    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
+    num = math.prod(w[i] - w[j] + j - i for i, j in pairs)
+    den = math.prod(j - i for i, j in pairs)
+    assert num % den == 0
+    return num // den
+
+
+def test_weyl_dimension_matches_pairwise_formula():
+    rng = random.Random(41)
+    for _ in range(300):
+        r = rng.randrange(1, 18)
+        w = tuple(sorted((rng.randrange(-6, 10) for _ in range(r)), reverse=True))
+        assert weyl_dimension(w) == weyl_dimension_pairwise(w)

@@ -9,9 +9,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cypairs import symfunc
 from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
+    _count_dtype,
     _Slots,
     _tableau_tables,
     _wedge_letters,
@@ -256,6 +258,34 @@ def test_exact_codes_in_many_variables():
     assert _Slots(30, 4).weights.dtype == object
     assert plethysm_wedge((4,), 1, N=30) == {(4,): 1}
     assert plethysm_wedge((2,), 2, N=30) == {(2, 2): 1, (1, 1, 1, 1): 1}
+
+
+def test_count_dtype_switches_at_two_to_the_63():
+    # a count of shape nu over M letters is at most M^|nu|
+    assert _count_dtype(2, 62) is np.int64
+    assert _count_dtype(2, 63) is object
+    assert _count_dtype(3, 40) is object
+    # the witness (10^15) and plethysm (35^5, 10^10) passes stay on int64
+    for M, w in ((10, 15), (35, 5), (10, 10)):
+        assert _count_dtype(M, w) is np.int64
+    # two letters of e_1 in 2 variables and 63 boxes run on Python integers
+    _, arr = _wedge_table((40, 23), 1, 2, 63)
+    assert arr.dtype == object
+    assert plethysm_wedge((40, 23), 1, N=2, budget=63) == {(40, 23): 1}
+
+
+def test_object_counts_match_int64(monkeypatch):
+    letters = _wedge_letters(2, 5)
+    w = 6
+    want = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
+    expansion = plethysm_wedge((2, 2, 1, 1), 2)
+    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w: object)
+    got = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
+    assert set(got) == set(want)
+    for lam, arr in got.items():
+        assert arr.dtype == object and want[lam].dtype == np.int64
+        assert arr.tolist() == want[lam].tolist(), lam
+    assert plethysm_wedge((2, 2, 1, 1), 2) == expansion
 
 
 def test_determinant_multiplicities_sum_to_kostka():
