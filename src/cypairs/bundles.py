@@ -32,6 +32,15 @@ def wedge_q(k: int, n: int, t: int = 0) -> Bundle:
     return canonicalize(Bundle((), (1,) * k, t), n)
 
 
+# every status the engine reports, mildest first
+_SEVERITY = ("pass", "assumption", "indeterminate", "deviation", "fail")
+
+
+def overall_status(statuses) -> str:
+    """The most severe of the statuses; no statuses is an error, not a pass."""
+    return _SEVERITY[max(_SEVERITY.index(s) for s in statuses)]
+
+
 def rank(b: Bundle, n: int) -> int:
     """Rank of the bundle: product of the two Weyl dimensions."""
     return weyl_dimension(b.u, n) * weyl_dimension(b.q, n + 1)
@@ -251,8 +260,5 @@ def verify_vanishing_claims(n: int) -> dict:
         _deformation_page(n),
         _restricted_sections(n),
     ]
-    statuses = {c["status"] for c in checks}
-    overall = (
-        "fail" if "fail" in statuses else "deviation" if "deviation" in statuses else "pass"
-    )
-    return {"n": n, "status": overall, "checks": checks}
+    status = overall_status(c["status"] for c in checks)
+    return {"n": n, "status": status, "checks": checks}

@@ -10,6 +10,10 @@ Statuses used throughout: pass, deviation (expected, recorded disagreement
 with a claim as stated), indeterminate (the method cannot decide),
 assumption (sampled evidence, not a proof), fail.  The exit code is nonzero
 exactly when some status is fail.
+
+Each claim is graded by one rule in `CLAIMS`: the subcommand of a claim
+(motivic, hodge, koszul family-dim, pluecker) prints exactly the status and
+detail that `verify` reports for it.
 """
 
 from __future__ import annotations
@@ -20,7 +24,15 @@ import re
 import sys
 import time
 
-from .bundles import Bundle, cohomology_table, tensor, verify_vanishing_claims, wedge_q
+from .bundles import (
+    Bundle,
+    cohomology_table,
+    overall_status,
+    rank,
+    tensor,
+    verify_vanishing_claims,
+    wedge_q,
+)
 from .bwb import canonicalize, cohomology
 from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
@@ -28,16 +40,6 @@ from .motivic import l_equivalence_certificate
 from .partitions import trim
 from .pluecker import symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
-
-_SEVERITY = ("pass", "assumption", "indeterminate", "deviation", "fail")
-
-
-def _overall(statuses) -> str:
-    worst = 0
-    for s in statuses:
-        worst = max(worst, _SEVERITY.index(s))
-    return _SEVERITY[worst]
-
 
 def _exit_code(result) -> int:
     if isinstance(result, dict):
@@ -55,8 +57,6 @@ def _ints(text: str) -> tuple:
 
 
 def _bundle_json(b: Bundle, mult: int, n: int) -> dict:
-    from .bundles import rank
-
     return {
         "u": list(b.u),
         "q": list(b.q),
@@ -154,8 +154,6 @@ def cmd_bwb(args) -> dict:
         {"degree": group.degree, "weight": list(group.weight), "dim": group.dim}
     ]
     return {
-        "schema": 1,
-        "command": "bwb",
         "n": args.n,
         "bundle": _bundle_json(b, 1, args.n),
         "groups": groups,
@@ -167,8 +165,6 @@ def cmd_decompose(args) -> dict:
     terms = _parse_expression(args.expression, args.n)
     order = sorted(terms, key=lambda b: (b.t, b.u, b.q))
     return {
-        "schema": 1,
-        "command": "decompose",
         "n": args.n,
         "expression": args.expression,
         "terms": [_bundle_json(b, terms[b], args.n) for b in order],
@@ -176,26 +172,50 @@ def cmd_decompose(args) -> dict:
     }
 
 
+def _l_equivalence(n, seed, trials):
+    cert = l_equivalence_certificate(n)
+    return ("pass" if cert["ok"] else "fail"), cert
+
+
+def _middle_hodge_parity(n, seed, trials):
+    dec = middle_decomposition(n)
+    return ("deviation" if dec["parity_matches_n"] else "fail"), dec
+
+
+def _family_dimension(n, seed, trials):
+    try:
+        detail = family_dimension(n, detail=True)
+    except ArithmeticError as exc:
+        return "indeterminate", {"reason": str(exc)}
+    note = "assumes the cut has no infinitesimal automorphisms of its own"
+    return "assumption", {**detail, "note": note}
+
+
+def _symmetry_obstruction(n, seed, trials):
+    probe = symmetry_obstruction_probe(n, trials=trials, seed=seed)
+    return ("assumption" if probe["obstructed"] else "fail"), probe
+
+
+# claim -> grade(n, seed, trials) -> (status, detail), in `verify` order;
+# seed and trials only reach the sampled probe
+CLAIMS = {
+    "l_equivalence": _l_equivalence,
+    "middle_hodge_parity": _middle_hodge_parity,
+    "family_dimension": _family_dimension,
+    "symmetry_obstruction": _symmetry_obstruction,
+}
+
+
+def _claim(name: str, n: int, seed: int = 0, trials: int = 5) -> dict:
+    status, detail = CLAIMS[name](n, seed, trials)
+    return {"status": status, **detail}
+
+
 def cmd_koszul(args) -> dict:
     if args.action == "family-dim":
-        detail = family_dimension(args.n, detail=True)
-        return {
-            "schema": 1,
-            "command": "koszul",
-            "action": "family-dim",
-            # the count rests on the cut having no infinitesimal
-            # automorphisms of its own, which is not discharged here
-            "status": "assumption",
-            **detail,
-        }
+        return {"action": "family-dim", **_claim("family_dimension", args.n)}
     terms = _parse_expression(args.expression, args.n)
-    out = {
-        "schema": 1,
-        "command": "koszul",
-        "action": "restrict",
-        "n": args.n,
-        "expression": args.expression,
-    }
+    out = {"action": "restrict", "n": args.n, "expression": args.expression}
     restricted = restricted_cohomology(terms, args.n)
     if not restricted.determinate:
         out["status"] = "indeterminate"
@@ -207,30 +227,17 @@ def cmd_koszul(args) -> dict:
 
 
 def cmd_motivic(args) -> dict:
-    cert = l_equivalence_certificate(args.n)
-    return {
-        "schema": 1,
-        "command": "motivic",
-        "status": "pass" if cert["ok"] else "fail",
-        **cert,
-    }
+    return _claim("l_equivalence", args.n)
 
 
 def cmd_hodge(args) -> dict:
-    dec = middle_decomposition(args.n)
-    status = "deviation" if dec["parity_matches_n"] else "fail"
-    return {"schema": 1, "command": "hodge", "status": status, **dec}
+    return _claim("middle_hodge_parity", args.n)
 
 
 def cmd_plethysm(args) -> dict:
     lam = _ints(args.lam)
     N = 2 * args.wedge + 1 if args.nvars is None else args.nvars
-    out = {
-        "schema": 1,
-        "command": "plethysm",
-        "lam": list(lam),
-        "wedge": args.wedge,
-    }
+    out = {"lam": list(lam), "wedge": args.wedge}
     try:
         expansion = plethysm_wedge(lam, args.wedge, N=N, budget=args.budget_degree)
     except BudgetExceeded as exc:
@@ -248,68 +255,29 @@ def cmd_plethysm(args) -> dict:
 
 
 def cmd_pluecker(args) -> dict:
-    probe = symmetry_obstruction_probe(args.n, trials=args.trials, seed=args.seed)
-    status = "assumption" if probe["obstructed"] else "fail"
-    return {"schema": 1, "command": "pluecker", "status": status, **probe}
+    return _claim("symmetry_obstruction", args.n, args.seed, args.trials)
 
 
 def run_suite(ns, seed: int = 0, trials: int = 5) -> dict:
-    """One case per (claim, n): the vanishing claims table plus the motivic,
-    Hodge, family dimension and section symmetry claims."""
+    """One case per (claim, n): the vanishing claims table, then `CLAIMS`."""
+    if not ns:
+        raise ValueError("no sizes given; --n takes a comma list such as 2,3")
     cases = []
     for n in ns:
-        report = verify_vanishing_claims(n)
-        for check in report["checks"]:
+        for check in verify_vanishing_claims(n)["checks"]:
+            detail = {k: v for k, v in check.items() if k != "name"}
             cases.append({
                 "n": n,
                 "claim": check["name"],
                 "status": check["status"],
-                "detail": {k: v for k, v in check.items() if k != "name"},
-            })
-        cert = l_equivalence_certificate(n)
-        cases.append({
-            "n": n,
-            "claim": "l_equivalence",
-            "status": "pass" if cert["ok"] else "fail",
-            "detail": {"checks": cert["checks"]},
-        })
-        dec = middle_decomposition(n)
-        cases.append({
-            "n": n,
-            "claim": "middle_hodge_parity",
-            "status": "deviation" if dec["parity_matches_n"] else "fail",
-            "detail": dec,
-        })
-        try:
-            detail = dict(family_dimension(n, detail=True))
-            detail["note"] = (
-                "assumes the cut has no infinitesimal automorphisms of its own"
-            )
-            cases.append({
-                "n": n,
-                "claim": "family_dimension",
-                "status": "assumption",
                 "detail": detail,
             })
-        except ArithmeticError as exc:
-            cases.append({
-                "n": n,
-                "claim": "family_dimension",
-                "status": "indeterminate",
-                "detail": {"reason": str(exc)},
-            })
-        probe = symmetry_obstruction_probe(n, trials=trials, seed=seed)
-        cases.append({
-            "n": n,
-            "claim": "symmetry_obstruction",
-            "status": "assumption" if probe["obstructed"] else "fail",
-            "detail": probe,
-        })
+        for claim, grade in CLAIMS.items():
+            status, detail = grade(n, seed, trials)
+            cases.append({"n": n, "claim": claim, "status": status, "detail": detail})
     return {
-        "schema": 1,
-        "command": "verify",
         "n": list(ns),
-        "status": _overall(case["status"] for case in cases),
+        "status": overall_status(case["status"] for case in cases),
         "cases": cases,
     }
 
@@ -397,7 +365,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        result = args.handler(args)
+        result = {"schema": 1, "command": args.command, **args.handler(args)}
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -4,8 +4,8 @@ import json
 
 import pytest
 
-from cypairs.bundles import Bundle, tensor, wedge_q
-from cypairs.cli import _exit_code, _overall, _parse_expression, main
+from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
+from cypairs.cli import CLAIMS, _exit_code, _parse_expression, main
 
 
 def run_json(capsys, argv):
@@ -15,10 +15,12 @@ def run_json(capsys, argv):
 
 
 def test_overall_status_rollup():
-    assert _overall(["pass", "pass"]) == "pass"
-    assert _overall(["pass", "assumption"]) == "assumption"
-    assert _overall(["deviation", "indeterminate"]) == "deviation"
-    assert _overall(["pass", "fail", "deviation"]) == "fail"
+    with pytest.raises(ValueError):
+        overall_status([])
+    assert overall_status(["pass", "pass"]) == "pass"
+    assert overall_status(["pass", "assumption"]) == "assumption"
+    assert overall_status(["deviation", "indeterminate"]) == "deviation"
+    assert overall_status(["pass", "fail", "deviation"]) == "fail"
 
 
 def test_exit_code_scans_nested_statuses():
@@ -154,6 +156,40 @@ def test_verify_suite(capsys):
     assert by_claim["l_equivalence"] == "pass"
 
 
+# claim -> the subcommand that prints it on its own
+CLAIM_ARGV = {
+    "l_equivalence": ["motivic"],
+    "middle_hodge_parity": ["hodge"],
+    "family_dimension": ["koszul", "family-dim"],
+    "symmetry_obstruction": ["pluecker", "--trials", "2", "--seed", "1"],
+}
+
+
+def test_claim_subcommands_print_the_verify_detail(capsys):
+    argv = ["verify", "--n", "2,3", "--trials", "2", "--seed", "1"]
+    code, suite = run_json(capsys, argv)
+    assert code == 0
+    assert list(CLAIMS) == list(CLAIM_ARGV)
+    vanishing = [
+        "twisted_schur_vanishing",
+        "double_wedge_vanishing",
+        "normal_page_vanishing",
+        "deformation_page_vanishing",
+        "restricted_sections",
+    ]
+    assert [case["claim"] for case in suite["cases"]] == 2 * (vanishing + list(CLAIMS))
+    cases = {(case["n"], case["claim"]): case for case in suite["cases"]}
+    for n in (2, 3):
+        for claim, argv in CLAIM_ARGV.items():
+            code, out = run_json(capsys, argv + ["--n", str(n)])
+            assert code == 0
+            assert out.pop("schema") == 1 and out.pop("command") == argv[0]
+            out.pop("action", None)
+            case = cases[(n, claim)]
+            assert out.pop("status") == case["status"], (n, claim)
+            assert out == case["detail"], (n, claim)
+
+
 def test_parse_error_exits_two(capsys):
     assert main(["decompose", "Q +", "--n", "2"]) == 2
     captured = capsys.readouterr()
@@ -166,6 +202,8 @@ def test_parse_error_exits_two(capsys):
     ["pluecker", "--trials", "-1"],
     ["decompose", "Q", "--n", "0"],
     ["decompose", "Q", "--n", "-1"],
+    ["verify", "--n", ","],
+    ["verify", "--n", ""],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -176,14 +214,36 @@ def test_bad_input_exits_two_with_one_line(capsys, argv):
 
 
 def test_arithmetic_error_exits_two_with_one_line(capsys, monkeypatch):
-    def indeterminate(n, detail=False):
-        raise ArithmeticError("restriction indeterminate; no dimension count")
+    # an ArithmeticError outside the claims table is a stray error, not a status
+    def stray(b, n):
+        raise ArithmeticError("stray arithmetic error")
 
-    monkeypatch.setattr("cypairs.cli.family_dimension", indeterminate)
-    assert main(["koszul", "family-dim", "--n", "3"]) == 2
+    monkeypatch.setattr("cypairs.cli.cohomology", stray)
+    assert main(["bwb", "--n", "2", "--q", "1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == "error: restriction indeterminate; no dimension count\n"
+    assert captured.err == "error: stray arithmetic error\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["koszul", "family-dim", "--n", "3"],
+    ["verify", "--n", "3", "--trials", "1"],
+])
+def test_family_dimension_arithmetic_error_is_indeterminate(capsys, monkeypatch, argv):
+    reason = "restriction indeterminate; no dimension count"
+
+    def indeterminate(n, detail=False):
+        raise ArithmeticError(reason)
+
+    monkeypatch.setattr("cypairs.cli.family_dimension", indeterminate)
+    code, out = run_json(capsys, argv)
+    assert code == 0
+    if argv[0] == "verify":
+        (out,) = [case for case in out["cases"] if case["claim"] == "family_dimension"]
+        out = {"status": out["status"], **out["detail"]}
+    assert out["status"] == "indeterminate"
+    assert out["reason"] == reason
+    assert "dimension" not in out
 
 
 def test_text_rendering(capsys):
