@@ -7,7 +7,7 @@ The subpackages compute, with integer or rational arithmetic throughout:
 - partitions: partition combinatorics, Weyl dimensions, product rules;
 - symfunc: plethysms of wedge powers and the determinant witness search;
 - bwb: cohomology of irreducible homogeneous bundles on G(n, 2n+1);
-- bundles: tensor calculus of such bundles and the vanishing claims table;
+- bundles: bundle tensor calculus, Koszul pages, the vanishing claims table;
 - koszul: restriction to the zero locus and the deformation family count;
 - motivic: Grothendieck ring classes and the L-equivalence certificate;
 - hodge: the middle-degree comparison deciding Hodge-isometry parity;
@@ -18,6 +18,7 @@ The subpackages compute, with integer or rational arithmetic throughout:
 from .bundles import (
     Bundle,
     cohomology_table,
+    koszul_page,
     rank,
     tensor,
     verify_vanishing_claims,
@@ -29,7 +30,6 @@ from .koszul import (
     RestrictedCohomology,
     deformation_sweep,
     family_dimension,
-    koszul_page,
     restricted_cohomology,
 )
 from .motivic import LPoly, class_flag, gaussian_binomial, l_equivalence_certificate

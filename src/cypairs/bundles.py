@@ -80,6 +80,27 @@ def cohomology_table(x, n: int) -> dict:
     return {p: d for p, d in sorted(table.items()) if d}
 
 
+def koszul_page(f, n: int) -> dict:
+    """Nonzero cells {(l, q): dim H^q(F (x) wedge^l Q(-2l))} for l in
+    [0, n+1], ordered by l, then q; F may be a Bundle or a {Bundle:
+    multiplicity} dict.  These are the terms of the Koszul resolution of the
+    zero locus of Q*(2), tensored with F."""
+    page = {}
+    for l in range(n + 2):
+        for q, d in cohomology_table(tensor(f, wedge_q(l, n, -2 * l), n), n).items():
+            page[(l, q)] = d
+    return page
+
+
+def _low_cells(page, n: int) -> dict:
+    """{l: {q: dim}} of the page cells below degree n+1."""
+    low = {}
+    for (l, q), d in page.items():
+        if q < n + 1:
+            low.setdefault(l, {})[q] = d
+    return low
+
+
 # ------------------------------------------------------------------------
 # the vanishing claims
 
@@ -135,17 +156,14 @@ def _twisted_schur_vanishing(n: int) -> dict:
 
 def _double_wedge_vanishing(n: int) -> dict:
     """Claim: wedge^k Q (x) wedge^l Q (-1-2l) has no cohomology in degree
-    p < n+1, for 0 <= k, l <= n+1.  The corner k = n+1, l = 0 is the trivial
-    bundle and escapes with its section."""
-    escapes = []
-    for k in range(n + 2):
-        for l in range(n + 2):
-            table = cohomology_table(
-                tensor(wedge_q(k, n), wedge_q(l, n, -1 - 2 * l), n), n
-            )
-            low = {p: d for p, d in table.items() if p < n + 1}
-            if low:
-                escapes.append({"k": k, "l": l, "low_degrees": low})
+    p < n+1, for 0 <= k, l <= n+1: the Koszul page of wedge^k Q(-1) for each
+    k.  The corner k = n+1, l = 0 is the trivial bundle and escapes with its
+    section."""
+    escapes = [
+        {"k": k, "l": l, "low_degrees": low}
+        for k in range(n + 2)
+        for l, low in _low_cells(koszul_page(wedge_q(k, n, -1), n), n).items()
+    ]
     expected = escapes == [{"k": n + 1, "l": 0, "low_degrees": {0: 1}}]
     return {
         "name": "double_wedge_vanishing",
@@ -165,12 +183,7 @@ def _normal_page_vanishing(n: int) -> dict:
     else must vanish below degree n+1.
     """
     f = Bundle((), (1,) * n, 1)  # Q*(2) rewritten over Q
-    escapes = {}
-    for k in range(n + 2):
-        table = cohomology_table(tensor(f, wedge_q(k, n, -2 * k), n), n)
-        low = {p: d for p, d in table.items() if p < n + 1}
-        if low:
-            escapes[k] = low
+    escapes = _low_cells(koszul_page(f, n), n)
     sections = comb(2 * n + 1, n) ** 2 - comb(2 * n + 1, n - 1) ** 2
     expected = {0: {0: sections}, 1: {0: 1}}
     if n == 2:
@@ -221,15 +234,16 @@ def _restricted_sections(n: int) -> dict:
     loses exactly the one section cutting Y once n > 2."""
     from .koszul import restricted_cohomology
 
-    normal = Bundle((), (1,) * n, 1)
     rows = []
     for label, b, ambient_h0 in (
         ("O(1)", Bundle((), (), 1), comb(2 * n + 1, n)),
         ("Q", Bundle((), (1,), 0), 2 * n + 1),
-        ("Q*(2)", normal, cohomology_table(normal, n).get(0, 0)),
+        ("Q*(2)", Bundle((), (1,) * n, 1), None),
     ):
         res = restricted_cohomology(b, n)
         assert res.determinate, label
+        if ambient_h0 is None:
+            ambient_h0 = res.page.get((0, 0), 0)  # H^0 of Q*(2) itself
         rows.append(
             {
                 "bundle": label,

@@ -207,6 +207,8 @@ CLAIMS = {
 
 
 def _claim(name: str, n: int, seed: int = 0, trials: int = 5) -> dict:
+    if n < 2:
+        raise ValueError("the claims are stated for n >= 2")
     status, detail = CLAIMS[name](n, seed, trials)
     return {"status": status, **detail}
 

@@ -22,7 +22,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .bwb import Bundle
-from .bundles import cohomology_table, tensor, wedge_q
+from .bundles import koszul_page, tensor, wedge_q
 
 
 class RestrictedCohomology(NamedTuple):
@@ -31,16 +31,6 @@ class RestrictedCohomology(NamedTuple):
     page: dict  # {(l, degree): dim} Koszul cells, l = 0 .. n+1
     ideal: dict | None  # {degree: dim} of I_Y(F)
     reason: str | None  # set when indeterminate
-
-
-def koszul_page(f, n: int) -> dict:
-    """Nonzero cells {(l, q): dim H^q(F (x) wedge^l Q(-2l))} for l in
-    [0, n+1]; F may be a Bundle or a {Bundle: multiplicity} dict."""
-    page = {}
-    for l in range(n + 2):
-        for q, d in cohomology_table(tensor(f, wedge_q(l, n, -2 * l), n), n).items():
-            page[(l, q)] = d
-    return page
 
 
 def restricted_cohomology(f, n: int) -> RestrictedCohomology:
@@ -95,18 +85,20 @@ def deformation_sweep(n: int) -> dict:
       family 1:  wedge^n Q (x) Q (x) wedge^l Q(-2l-1)
       family 2:  Q (x) wedge^l Q(-2l)
 
-    for 1 <= l <= n+1.  Returns every nonzero (family, l, degree, dim) cell;
-    family 2 vanishing identically is what splices family 1 into the tangent
-    restriction one degree up.
+    for 1 <= l <= n+1, the l >= 1 cells of the Koszul pages of
+    wedge^n Q(-1) (x) Q and of Q.  Returns every nonzero (family, l, degree,
+    dim) cell, ordered by l, then family; family 2 vanishing identically is
+    what splices family 1 into the tangent restriction one degree up.
     """
     q = Bundle((), (1,), 0)
-    nonzero = []
-    for l in range(1, n + 2):
-        fam1 = tensor(tensor(wedge_q(n, n, -1), q, n), wedge_q(l, n, -2 * l), n)
-        fam2 = tensor(q, wedge_q(l, n, -2 * l), n)
-        for fam, x in ((1, fam1), (2, fam2)):
-            for p, d in cohomology_table(x, n).items():
-                nonzero.append({"family": fam, "l": l, "degree": p, "dim": d})
+    pages = (
+        (1, koszul_page(tensor(wedge_q(n, n, -1), q, n), n)),
+        (2, koszul_page(q, n)),
+    )
+    cells = sorted(
+        (l, fam, p, d) for fam, page in pages for (l, p), d in page.items() if l >= 1
+    )
+    nonzero = [{"family": fam, "l": l, "degree": p, "dim": d} for l, fam, p, d in cells]
     return {"n": n, "top_degree": n * n + n, "nonzero": nonzero}
 
 

@@ -131,32 +131,14 @@ def littlewood_richardson(a, b, rank: int) -> dict[tuple, int]:
     out: dict[tuple, int] = {}
     total = weight(a) + weight(b)
     max_rows = min(rank, len(a) + len(b))
-    for mu in _containing_partitions(a, total, max_rows):
-        c = _count_lr_fillings(mu, a, b)
-        if c:
-            out[mu] = c
+    # mu contains a; the first row of mu/a holds only 1s (its last cell
+    # starts the lattice word), at most b_1 of them
+    for mu in partitions_of(total, max_part=a[0] + b[0], max_rows=max_rows):
+        if len(mu) >= len(a) and all(m >= x for m, x in zip(mu, a)):
+            c = _count_lr_fillings(mu, a, b)
+            if c:
+                out[mu] = c
     return out
-
-
-def _containing_partitions(a, total, max_rows):
-    """Partitions of `total` with at most max_rows rows containing a."""
-    if len(a) > max_rows:
-        return
-    a = a + (0,) * (max_rows - len(a))
-
-    def rec(i, prev, left):
-        if i == max_rows:
-            if left == 0:
-                yield ()
-            return
-        lo = a[i]
-        hi = min(prev, left)
-        for v in range(hi, lo - 1, -1):
-            for rest in rec(i + 1, v, left - v):
-                yield (v,) + rest
-
-    for mu in rec(0, total, total):
-        yield trim(mu)
 
 
 def _count_lr_fillings(mu, a, b) -> int:

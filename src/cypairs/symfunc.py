@@ -114,18 +114,15 @@ def _wedge_letters(n, N):
 
 
 def _shapes(bound, w):
-    """Every partition inside the shape `bound` with at most w boxes."""
-    out = []
-
-    def rec(prefix, left):
-        out.append(prefix)
-        i = len(prefix)
-        if i < len(bound):
-            for v in range(1, min(bound[i], left, prefix[-1] if prefix else left) + 1):
-                rec(prefix + (v,), left - v)
-
-    rec((), w)
-    return out
+    """Every partition inside the shape `bound` with at most w boxes, largest
+    first."""
+    top = bound[0] if bound else 0
+    return [
+        nu
+        for size in range(min(w, sum(bound)), -1, -1)
+        for nu in partitions_of(size, max_part=top, max_rows=len(bound))
+        if all(x <= y for x, y in zip(nu, bound))
+    ]
 
 
 def _strip_sources(nu):
@@ -155,7 +152,7 @@ def _tableau_tables(letters, slots, bound, w):
     smaller, so it still holds its value from before the letter.
     """
     deg = int(letters[0].sum())
-    order = sorted(_shapes(bound, w), key=sum, reverse=True)
+    order = _shapes(bound, w)
     sources = {nu: [(mu, sum(mu)) for mu in _strip_sources(nu)] for nu in order}
     # fewest letters (horizontal strips) that complete each shape
     need = {nu: 0 if sum(nu) == w else len(letters) + 1 for nu in order}

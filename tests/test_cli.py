@@ -1,11 +1,15 @@
 """Command line wiring: parsing, JSON shape, statuses, exit codes."""
 
 import json
+from pathlib import Path
 
 import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
 from cypairs.cli import CLAIMS, _exit_code, _parse_expression, main
+
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def run_json(capsys, argv):
@@ -190,6 +194,18 @@ def test_claim_subcommands_print_the_verify_detail(capsys):
             assert out == case["detail"], (n, claim)
 
 
+@pytest.mark.parametrize("flags, golden", [
+    (["--json"], "verify_n2_3.json"),
+    ([], "verify_n2_3.txt"),
+])
+def test_verify_stdout_is_byte_identical_to_golden(capsys, flags, golden):
+    # regenerate on purpose only, with
+    #   cypairs verify --n 2,3 --trials 2 --seed 1 [--json] > tests/data/<golden>
+    argv = ["verify", "--n", "2,3", "--trials", "2", "--seed", "1"] + flags
+    assert main(argv) == 0
+    assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
+
+
 def test_parse_error_exits_two(capsys):
     assert main(["decompose", "Q +", "--n", "2"]) == 2
     captured = capsys.readouterr()
@@ -204,6 +220,10 @@ def test_parse_error_exits_two(capsys):
     ["decompose", "Q", "--n", "-1"],
     ["verify", "--n", ","],
     ["verify", "--n", ""],
+    ["pluecker", "--n", "1", "--trials", "1"],
+    ["motivic", "--n", "1"],
+    ["hodge", "--n", "1"],
+    ["koszul", "family-dim", "--n", "1"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2

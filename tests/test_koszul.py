@@ -5,7 +5,7 @@ from math import comb
 
 import pytest
 
-from cypairs.bwb import Bundle
+from cypairs.bwb import Bundle, canonicalize, serre_dual
 from cypairs.bundles import tensor, wedge_q
 from cypairs.koszul import (
     deformation_sweep,
@@ -13,6 +13,7 @@ from cypairs.koszul import (
     koszul_page,
     restricted_cohomology,
 )
+from cypairs.partitions import partitions_of
 
 Q = Bundle((), (1,), 0)
 TANGENT = Bundle((1,), (1,), 0)
@@ -99,6 +100,33 @@ def test_euler_characteristic_is_conserved():
             assert euler(res.table) == rhs, (n, f)
             checked += 1
     assert checked > 30
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_serre_duality_on_y(n):
+    # Y is Calabi-Yau of dimension n^2 - 1, so h^p(F|_Y) = h^{n^2-1-p}(F*|_Y);
+    # F* is serre_dual(F) = F* (x) O(-2n-1) twisted back by O(2n+1)
+    small = [p for w in range(3) for p in partitions_of(w)]
+    bundles = [
+        Bundle(u, q, t)
+        for u in small if len(u) <= n
+        for q in small if len(q) <= n + 1
+        for t in range(-4, 4)
+    ]
+    top = n * n - 1
+    pairs = 0
+    for f in bundles:
+        if canonicalize(f, n) != f:
+            continue
+        s = serre_dual(f, n)
+        res = restricted_cohomology(f, n)
+        dual = restricted_cohomology(Bundle(s.u, s.q, s.t + 2 * n + 1), n)
+        if not (res.determinate and dual.determinate):
+            continue
+        pairs += 1
+        for p in range(top + 1):
+            assert res.table.get(p, 0) == dual.table.get(top - p, 0), (f, p)
+    assert pairs > 0
 
 
 def test_tangent_page_splices_into_first_family():

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -139,12 +140,9 @@ def test_lr_rank_cutoff():
 
 
 def test_lr_symmetry_and_bilinearity_small():
-    rng = random.Random(31)
-    pool = [p for w in range(0, 5) for p in partitions_of(w)]
-    for _ in range(60):
-        a = rng.choice(pool)
-        b = rng.choice(pool)
-        rank = rng.randrange(1, 8)
+    # exhaustive, so mu_1 = a_1 + b_1 (the edge of the candidate bound) occurs
+    pool = [p for w in range(6) for p in partitions_of(w)]
+    for a, b, rank in itertools.product(pool, pool, range(1, 8)):
         dec = littlewood_richardson(a, b, rank)
         assert dec == littlewood_richardson(b, a, rank)
         for mu in dec:

@@ -141,6 +141,21 @@ def frobenius_staircase_partitions(weight, max_rows):
     return good
 
 
+def shapes_by_dfs(bound, w):
+    """Every partition inside `bound` with at most w boxes, row by row."""
+    out = []
+
+    def rec(prefix, left):
+        out.append(prefix)
+        i = len(prefix)
+        if i < len(bound):
+            for v in range(1, min(bound[i], left, prefix[-1] if prefix else left) + 1):
+                rec(prefix + (v,), left - v)
+
+    rec((), w)
+    return out
+
+
 # ------------------------------------------------------------ small cases
 
 
@@ -232,6 +247,16 @@ def test_shared_pass_matches_single_shape():
             for lam in shapes:
                 single = _tableau_tables(letters, _Slots(N, w), lam, w)
                 assert np.array_equal(shared[lam], single[lam]), (N, lam)
+
+
+@pytest.mark.parametrize("bound", [(), (1,), (3, 2, 1), (4, 4, 4), (7, 4, 2, 1, 1)])
+def test_shapes_match_dfs(bound):
+    for w in range(sum(bound) + 1):
+        got = symfunc._shapes(bound, w)
+        assert len(got) == len(set(got))
+        assert set(got) == set(shapes_by_dfs(bound, w)), (bound, w)
+        # largest first: every strip source of a shape comes after it
+        assert [sum(nu) for nu in got] == sorted(map(sum, got), reverse=True)
 
 
 @st.composite
