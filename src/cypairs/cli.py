@@ -141,7 +141,10 @@ def _parse_expression(text: str, n: int) -> dict:
                 acc[b] = acc.get(b, 0) + m
         return acc
 
-    out = expr()
+    try:
+        out = expr()
+    except RecursionError:
+        raise ValueError("expression nested too deeply") from None
     if pos != len(tokens):
         raise ValueError(f"trailing input {tokens[pos:]!r}")
     return out

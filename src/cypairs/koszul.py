@@ -1,20 +1,21 @@
 """Cohomology of bundles restricted to the zero locus Y of a general section
 of Q*(2) on G(n, 2n+1), through the Koszul resolution of Y.
 
-Y has codimension n+1; the resolution of its structure sheaf by the bundles
-wedge^l(Q(-2)) = wedge^l Q(-2l) turns H^*(F|_Y) into a two-stage assembly:
+Y has codimension n+1 and its structure sheaf is resolved by the bundles
+wedge^l(Q(-2)) = wedge^l Q(-2l), l = 0 .. n+1.  Tensored with F, the cells
+H^q(F (x) wedge^l Q(-2l)) form the E1 page of a spectral sequence converging
+to H^*(F|_Y); cell (l, q) sits in total degree q - l.  One rule reads the
+answer off that page:
 
-  stage 1  the cells H^q(F (x) wedge^l Q(-2l)), l >= 1, compute the
-           cohomology of the twisted ideal I_Y(F).  A differential could
-           only connect cells on consecutive antidiagonals q - l; when no
-           such pair of nonzero cells exists the cell sums are exact.
+  A differential can only run from a cell (l, q) to a cell (l2, q2) with
+  l2 < l and q2 - l2 = q - l + 1.  Every such pair of nonzero cells blocks,
+  except a pair whose target is (0, 0): those maps start in total degree -1,
+  where H^-1(F|_Y) = 0, so they are injective.  With no blocking pair,
 
-  stage 2  the long exact sequence of 0 -> I_Y(F) -> F -> F|_Y -> 0, with
-           connecting ranks forced whenever one side of each map vanishes
-           (and by left exactness in degree 0).
+    h^p(F|_Y) = sum of the degree-p cells - [p = 0] * sum of the degree -1 cells.
 
-Whenever a differential or a connecting rank is not forced the result is
-reported indeterminate rather than guessed.
+Otherwise the result is reported indeterminate, naming the blocking pair,
+rather than guessed.
 """
 
 from __future__ import annotations
@@ -29,54 +30,33 @@ class RestrictedCohomology(NamedTuple):
     determinate: bool
     table: dict | None  # {degree: dim} of F|_Y, zero entries omitted
     page: dict  # {(l, degree): dim} Koszul cells, l = 0 .. n+1
-    ideal: dict | None  # {degree: dim} of I_Y(F)
     reason: str | None  # set when indeterminate
 
 
 def restricted_cohomology(f, n: int) -> RestrictedCohomology:
     page = koszul_page(f, n)
-    cells = [(l, q) for (l, q) in page if l >= 1]
-    for l, q in cells:
-        for l2, q2 in cells:
-            if l2 < l and q2 - l2 == q - l + 1:
-                return RestrictedCohomology(
-                    False,
-                    None,
-                    page,
-                    None,
-                    f"possible differential from cell {(l, q)} to {(l2, q2)}",
-                )
-    ideal = {}
-    for l, q in cells:
-        p = q - l + 1
-        assert p >= 0, f"cell {(l, q)} below degree zero survived the check"
-        ideal[p] = ideal.get(p, 0) + page[(l, q)]
-    ambient = {q: d for (l, q), d in page.items() if l == 0}
-    top = n * (n + 1)
-    ranks = {}
-    for p in range(top + 2):
-        hi, ha = ideal.get(p, 0), ambient.get(p, 0)
-        if p == 0:
-            assert hi <= ha
-            ranks[p] = hi
-        elif hi == 0 or ha == 0:
-            ranks[p] = 0
-        else:
-            return RestrictedCohomology(
-                False,
-                None,
-                page,
-                ideal,
-                f"the degree-{p} connecting rank is not forced",
-            )
-    table = {}
-    for p in range(top + 1):
-        h = ambient.get(p, 0) - ranks[p] + ideal.get(p + 1, 0) - ranks[p + 1]
-        assert h >= 0
-        if h:
-            table[p] = h
+    blocking = [
+        (a, b)
+        for a in page
+        for b in page
+        if b[0] < a[0] and b[1] - b[0] == a[1] - a[0] + 1 and b != (0, 0)
+    ]
+    if blocking:
+        # the first pair in page order, preferring targets with l2 >= 1
+        a, b = min(blocking, key=lambda pair: pair[1][0] == 0)
+        reason = f"possible differential from cell {a} to {b}"
+        return RestrictedCohomology(False, None, page, reason)
+    sums = {}
+    for (l, q), d in page.items():
+        sums[q - l] = sums.get(q - l, 0) + d
+    assert min(sums, default=0) >= -1, "a cell below degree -1 survived"
+    killed = sums.pop(-1, 0)
+    assert killed <= page.get((0, 0), 0)
+    sums[0] = sums.get(0, 0) - killed
+    table = {p: h for p, h in sorted(sums.items()) if h}
+    assert all(h > 0 for h in table.values())
     assert all(p <= n * n - 1 for p in table), "cohomology beyond dim Y"
-    return RestrictedCohomology(True, table, page, ideal, None)
+    return RestrictedCohomology(True, table, page, None)
 
 
 def deformation_sweep(n: int) -> dict:

@@ -179,6 +179,36 @@ def test_deformation_page_degree_discrepancy():
         ]
 
 
+def test_deformation_page_degree_follows_the_top_cell(monkeypatch):
+    # computed_degree is read off the single (family 1, l = n+1) cell, so a
+    # sweep whose top cell moves must move it too and grade the claim fail
+    from cypairs import koszul
+
+    sweep = koszul.deformation_sweep
+
+    def moved(n):
+        out = sweep(n)
+        for c in out["nonzero"]:
+            if c["family"] == 1 and c["l"] == n + 1:
+                c["degree"] = n * n - 1
+        return out
+
+    def doubled(n):
+        out = sweep(n)
+        out["nonzero"] = out["nonzero"] + out["nonzero"][-1:]
+        return out
+
+    monkeypatch.setattr("cypairs.koszul.deformation_sweep", moved)
+    c = check_by_name(verify_vanishing_claims(3), "deformation_page_vanishing")
+    assert c["computed_degree"] == 8
+    assert c["status"] == "fail"
+    monkeypatch.setattr("cypairs.koszul.deformation_sweep", doubled)
+    c = check_by_name(verify_vanishing_claims(3), "deformation_page_vanishing")
+    assert c["computed_degree"] is None
+    assert c["degree_discrepancy"] is True
+    assert c["status"] == "fail"
+
+
 def test_restricted_sections_rows():
     r2 = check_by_name(verify_vanishing_claims(2), "restricted_sections")
     assert r2["status"] == "pass"

@@ -1,6 +1,8 @@
 """Command line wiring: parsing, JSON shape, statuses, exit codes."""
 
 import json
+import re
+import shlex
 from pathlib import Path
 
 import pytest
@@ -10,6 +12,7 @@ from cypairs.cli import CLAIMS, _exit_code, _parse_expression, main
 
 
 DATA = Path(__file__).resolve().parent / "data"
+README = Path(__file__).resolve().parent.parent / "README.md"
 
 
 def run_json(capsys, argv):
@@ -206,6 +209,24 @@ def test_verify_stdout_is_byte_identical_to_golden(capsys, flags, golden):
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
 
+def _readme_commands():
+    section = README.read_text().split("## Command line", 1)[1]
+    block = re.search(r"```sh\n(.*?)```", section, re.S).group(1)
+    return [
+        shlex.split(line, comments=True)[1:]
+        for line in block.splitlines()
+        if line.startswith("cypairs ")
+    ]
+
+
+def test_readme_command_examples_run(capsys):
+    commands = _readme_commands()
+    assert commands
+    for argv in commands:
+        assert main(argv) == 0, argv
+        capsys.readouterr()
+
+
 def test_parse_error_exits_two(capsys):
     assert main(["decompose", "Q +", "--n", "2"]) == 2
     captured = capsys.readouterr()
@@ -224,6 +245,7 @@ def test_parse_error_exits_two(capsys):
     ["motivic", "--n", "1"],
     ["hodge", "--n", "1"],
     ["koszul", "family-dim", "--n", "1"],
+    ["decompose", "(" * 400 + "Q" + ")" * 400, "--n", "2"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2

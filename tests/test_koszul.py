@@ -1,6 +1,7 @@
 """Koszul restriction to the zero locus Y and the family-dimension count."""
 
 import random
+import re
 from math import comb
 
 import pytest
@@ -70,12 +71,101 @@ def test_indeterminate_restriction_is_reported():
     assert "differential" in res.reason
 
 
+def test_differential_into_the_ambient_column_is_named():
+    # at n = 1, S^2 Q(-2) has H^1 in the ambient column and degree-0 cells at
+    # l = 1 and l = 2 that could map onto it; nothing in the l >= 1 columns
+    # blocks, and the report names the first pair in page order
+    res = restricted_cohomology(Bundle((), (2,), -2), 1)
+    assert not res.determinate
+    assert res.reason == "possible differential from cell (1, 1) to (0, 1)"
+
+
+# ------------------------------------------- reference: two-stage assembly
+
+
+def _two_stage(f, n):
+    """Reference two-stage assembly: differentials among the l >= 1 cells compute
+    H^*(I_Y(F)), then the long exact sequence of 0 -> I_Y(F) -> F -> F|_Y -> 0
+    with every connecting rank forced.  Returns (determinate, table, reason);
+    only its stage-1 reasons name cells."""
+    page = koszul_page(f, n)
+    cells = [(l, q) for (l, q) in page if l >= 1]
+    for l, q in cells:
+        for l2, q2 in cells:
+            if l2 < l and q2 - l2 == q - l + 1:
+                reason = f"possible differential from cell {(l, q)} to {(l2, q2)}"
+                return False, None, reason
+    ideal = {}
+    for l, q in cells:
+        ideal[q - l + 1] = ideal.get(q - l + 1, 0) + page[(l, q)]
+    ambient = {q: d for (l, q), d in page.items() if l == 0}
+    top = n * (n + 1)
+    ranks = {}
+    for p in range(top + 2):
+        hi, ha = ideal.get(p, 0), ambient.get(p, 0)
+        if p == 0:
+            ranks[p] = hi
+        elif hi == 0 or ha == 0:
+            ranks[p] = 0
+        else:
+            return False, None, None
+    table = {}
+    for p in range(top + 1):
+        h = ambient.get(p, 0) - ranks[p] + ideal.get(p + 1, 0) - ranks[p + 1]
+        if h:
+            table[p] = h
+    return True, table, None
+
+
+def _restriction_corpus():
+    # every canonical bundle with |u|, |q| <= 3 (<= 2 at n = 4) and twists
+    # -2n-6 .. 4, then 60 tensor products and 60 sums of two of them per n
+    for n in (1, 2, 3, 4):
+        w = 2 if n == 4 else 3
+        small = [p for k in range(w + 1) for p in partitions_of(k)]
+        singles = [
+            Bundle(u, q, t)
+            for u in small if len(u) <= n - 1
+            for q in small if len(q) <= n
+            for t in range(-2 * n - 6, 5)
+        ]
+        yield from ((f, n) for f in singles)
+        rng = random.Random(n)
+        for i in range(120):
+            a, b = rng.sample(singles, 2)
+            yield (tensor(a, b, n) if i % 2 else {a: 1, b: 1}), n
+
+
+def test_one_rule_matches_the_two_stage_assembly():
+    counts = {"inputs": 0, "determinate": 0, "stage 1": 0, "stage 2": 0}
+    for f, n in _restriction_corpus():
+        res = restricted_cohomology(f, n)
+        determinate, table, reason = _two_stage(f, n)
+        counts["inputs"] += 1
+        assert res.determinate == determinate, (f, n)
+        assert res.table == table, (f, n)
+        if determinate:
+            counts["determinate"] += 1
+        elif reason is not None:
+            counts["stage 1"] += 1
+            assert res.reason == reason, (f, n)
+        else:
+            # the named pair is a possible differential into the ambient column
+            counts["stage 2"] += 1
+            l, q, l2, q2 = map(int, re.findall(r"-?\d+", res.reason))
+            a, b = (l, q), (l2, q2)
+            assert a in res.page and b in res.page and b[0] == 0, (f, n)
+            assert a[0] > 0 and b[1] == a[1] - a[0] + 1 > 0, (f, n)
+    assert counts["inputs"] == 1910
+    assert min(counts.values()) > 0
+
+
 # ------------------------------------------------------- exactness checks
 
 
 def test_euler_characteristic_is_conserved():
-    # chi(F|_Y) must equal the alternating page sum whenever the two-stage
-    # assembly claims a determinate answer
+    # chi(F|_Y) must equal the alternating page sum whenever the
+    # restriction claims a determinate answer
     rng = random.Random(17)
     checked = 0
     fixed = [Bundle((), (), t) for t in range(-7, 4)]
