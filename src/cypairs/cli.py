@@ -4,7 +4,9 @@ Subcommands expose the individual engines (cohomology, decomposition,
 restriction, motivic classes, Hodge middle, plethysm, section symmetry) and
 a `verify` driver that runs the whole claims suite per n.  Output is either
 a plain text rendering or, with --json, a byte-deterministic JSON document
-(schema 1); wall time goes to stderr so stdout stays reproducible.
+(schema 1); wall time goes to stderr so stdout stays reproducible.  Bundle
+expressions use Python syntax limited to +, *, parentheses and the atoms Q,
+Udual, O(t), wedgeQ(k[,t]) with integer arguments, and are never evaluated.
 
 Statuses used throughout: pass, deviation (expected, recorded disagreement
 with a claim as stated), indeterminate (the method cannot decide),
@@ -19,8 +21,9 @@ detail that `verify` reports for it.
 from __future__ import annotations
 
 import argparse
+import ast
 import json
-import re
+import os
 import sys
 import time
 
@@ -40,6 +43,9 @@ from .motivic import l_equivalence_certificate
 from .partitions import trim
 from .pluecker import symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
+
+_ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
+
 
 def _exit_code(result) -> int:
     if isinstance(result, dict):
@@ -70,84 +76,50 @@ def _table_json(table: dict) -> list:
     return [{"degree": p, "dim": d} for p, d in sorted(table.items())]
 
 
-_TOKEN = re.compile(r"wedgeQ|Udual|Q|O|[(),*+]|-?\d+|\S")
+def _int(node) -> int:
+    neg = isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub)
+    value = node.operand if neg else node
+    if isinstance(value, ast.Constant) and type(value.value) is int:
+        return -value.value if neg else value.value
+    raise ValueError(f"expected an integer, got {ast.unparse(node)!r}")
+
+
+def _walk(node, n: int) -> dict:
+    steps = []  # the left spine of a +/* chain, folded in a loop: no recursion
+    while isinstance(node, ast.BinOp) and isinstance(node.op, (ast.Add, ast.Mult)):
+        steps.append((node.op, node.right))
+        node = node.left
+    match node:
+        case ast.Name(name) if name in _ATOMS:
+            acc = {_ATOMS[name]: 1}
+        case ast.Call(ast.Name("O"), [t], []):
+            acc = {Bundle((), (), _int(t)): 1}
+        case ast.Call(ast.Name("wedgeQ"), [k, *t], []) if len(t) < 2:
+            acc = {wedge_q(_int(k), n, *map(_int, t)): 1}
+        case _:
+            raise ValueError(f"unknown term {ast.unparse(node)!r}")
+    for op, right in reversed(steps):
+        term = _walk(right, n)
+        if isinstance(op, ast.Mult):
+            acc = tensor(acc, term, n)
+        else:
+            acc.update({b: acc.get(b, 0) + m for b, m in term.items()})
+    return acc
 
 
 def _parse_expression(text: str, n: int) -> dict:
-    """Sums of tensor products of the atoms Q, Udual, O(t), wedgeQ(k[,t])."""
+    """{Bundle: multiplicity} of a bundle expression, parsed but never evaluated."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    tokens = _TOKEN.findall(text)
-    pos = 0
-
-    def peek():
-        return tokens[pos] if pos < len(tokens) else None
-
-    def take(expected=None):
-        nonlocal pos
-        tok = peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(
-                f"expected {expected or 'a term'} at position {pos} of {tokens}"
-            )
-        pos += 1
-        return tok
-
-    def int_arg():
-        tok = take()
-        try:
-            return int(tok)
-        except ValueError:
-            raise ValueError(f"expected an integer, got {tok!r}") from None
-
-    def atom():
-        tok = take()
-        if tok == "Q":
-            return {Bundle((), (1,), 0): 1}
-        if tok == "Udual":
-            return {Bundle((1,), (), 0): 1}
-        if tok == "O":
-            take("(")
-            t = int_arg()
-            take(")")
-            return {Bundle((), (), t): 1}
-        if tok == "wedgeQ":
-            take("(")
-            k = int_arg()
-            t = 0
-            if peek() == ",":
-                take(",")
-                t = int_arg()
-            take(")")
-            return {wedge_q(k, n, t): 1}
-        if tok == "(":
-            inner = expr()
-            take(")")
-            return inner
-        raise ValueError(f"unknown atom {tok!r}")
-
-    def term():
-        acc = atom()
-        while peek() == "*":
-            take("*")
-            acc = tensor(acc, atom(), n)
-        return acc
-
-    def expr():
-        acc = dict(term())
-        while peek() == "+":
-            take("+")
-            for b, m in term().items():
-                acc[b] = acc.get(b, 0) + m
-        return acc
-
+    if "#" in text:  # read as one line, a comment would hide the rest of it
+        raise ValueError("bad expression: '#' is not allowed")
     try:
-        out = expr()
+        # one line, so newlines and leading blanks read as plain spaces
+        return _walk(ast.parse(" ".join(text.split()), mode="eval").body, n)
+    except SyntaxError as exc:
+        raise ValueError(f"bad expression: {exc.msg}") from None
     except RecursionError:
         raise ValueError("expression nested too deeply") from None
-    if pos != len(tokens):
-        raise ValueError(f"trailing input {tokens[pos:]!r}")
-    return out
 
 
 def cmd_bwb(args) -> dict:
@@ -374,10 +346,12 @@ def main(argv=None) -> int:
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    if args.json:
-        print(json.dumps(result, sort_keys=True, indent=2))
-    else:
-        print("\n".join(_render(result)))
+    try:
+        print(json.dumps(result, sort_keys=True, indent=2) if args.json
+              else "\n".join(_render(result)), flush=True)
+    except BrokenPipeError:
+        # the reader is gone: aim the exit-time flush at devnull, not a traceback
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
     print(f"elapsed {time.perf_counter() - start:.3f}s", file=sys.stderr)
     return _exit_code(result)
 

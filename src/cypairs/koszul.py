@@ -66,9 +66,10 @@ def deformation_sweep(n: int) -> dict:
       family 2:  Q (x) wedge^l Q(-2l)
 
     for 1 <= l <= n+1, the l >= 1 cells of the Koszul pages of
-    wedge^n Q(-1) (x) Q and of Q.  Returns every nonzero (family, l, degree,
-    dim) cell, ordered by l, then family; family 2 vanishing identically is
-    what splices family 1 into the tangent restriction one degree up.
+    wedge^n Q(-1) (x) Q and of Q.  Returns n and every nonzero (family, l,
+    degree, dim) cell, ordered by l, then family; family 2 vanishing
+    identically is what splices family 1 into the tangent restriction one
+    degree up.  There is no top-degree key: the degree is read off the cells.
     """
     q = Bundle((), (1,), 0)
     pages = (
@@ -79,7 +80,7 @@ def deformation_sweep(n: int) -> dict:
         (l, fam, p, d) for fam, page in pages for (l, p), d in page.items() if l >= 1
     )
     nonzero = [{"family": fam, "l": l, "degree": p, "dim": d} for l, fam, p, d in cells]
-    return {"n": n, "top_degree": n * n + n, "nonzero": nonzero}
+    return {"n": n, "nonzero": nonzero}
 
 
 def family_dimension(n: int, detail: bool = False):
