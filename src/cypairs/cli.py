@@ -25,6 +25,7 @@ import ast
 import json
 import os
 import sys
+import threading
 import time
 
 from .bundles import (
@@ -107,15 +108,37 @@ def _walk(node, n: int) -> dict:
     return acc
 
 
+def _on_fresh_stack(call):
+    """call() on a thread of its own, which starts with no frames.  Python's
+    parser and `_walk` count the frames already in use against the recursion
+    limit, so how long or deep an expression may be would otherwise depend
+    on how deep the caller is."""
+    out = {}
+
+    def run():
+        try:
+            out["value"] = call()
+        except BaseException as exc:  # raised again on the caller's thread
+            out["error"] = exc
+
+    thread = threading.Thread(target=run, daemon=True)
+    thread.start()
+    thread.join()
+    if "error" in out:
+        raise out["error"]
+    return out["value"]
+
+
 def _parse_expression(text: str, n: int) -> dict:
     """{Bundle: multiplicity} of a bundle expression, parsed but never evaluated."""
     if n < 1:
         raise ValueError("n must be >= 1")
     if "#" in text:  # read as one line, a comment would hide the rest of it
         raise ValueError("bad expression: '#' is not allowed")
+    # one line, so newlines and leading blanks read as plain spaces
+    source = " ".join(text.split())
     try:
-        # one line, so newlines and leading blanks read as plain spaces
-        return _walk(ast.parse(" ".join(text.split()), mode="eval").body, n)
+        return _on_fresh_stack(lambda: _walk(ast.parse(source, mode="eval").body, n))
     except SyntaxError as exc:
         raise ValueError(f"bad expression: {exc.msg}") from None
     except RecursionError:

@@ -10,10 +10,17 @@ holds the exponent-vector distribution of its partial polynomial as a numpy
 array over a slot table: the exponent vectors of one degree, in lex order,
 with strictly increasing integer codes.  The counts are int64 when no count
 can reach 2^63, and Python integers otherwise.  Multiplying by a letter shifts
-codes, and `searchsorted` finds the target slots.  Exponents never decrease
-along the DP, so a vector with an entry above a cap that no later lookup can
-use is dropped.  One pass yields the tables of every shape of a degree, which
-is what the witness search scans.
+codes, and `searchsorted` finds the target slots.  One pass yields the
+tables of every shape of a degree, which is what the witness search scans.
+
+Each table keeps only the exponent vectors inside a window.  Exponents
+never decrease along the DP, and each box still to place adds at most 1 to
+any one entry, so a vector with an entry above the largest one a lookup
+reads, or below the smallest one less the boxes left, never becomes a vector
+the lookup reads.  The full expansion reads every dominant exponent and keeps
+the cap |lambda| on every entry, with no floor.  The determinant lookup reads
+only beta_i = k - i + p(i) for permutations p, and keeps
+k - i - (boxes left) <= e_i <= min(k - i + N - 1, |lambda|).
 
 The coefficient of s_mu is read off a table by Weyl alternation (Macdonald,
 Symmetric Functions and Hall Polynomials, I.3): the sum over w in S_N of
@@ -28,7 +35,7 @@ for k = n*|lambda|/N; its multiplicity drives the witness search.
 from __future__ import annotations
 
 from itertools import combinations, product
-from math import comb
+from math import comb, prod
 
 import numpy as np
 
@@ -54,20 +61,27 @@ def _check_budget(degree, N, budget):
 
 
 class _Slots:
-    """Exponent vectors of length N with every entry at most `cap`, one slot
-    table per degree, built on first use.
+    """Exponent vectors of length N inside a window, one slot table per
+    degree, built on first use.
 
-    A vector's code is its value in base cap+1, so the codes of a table
-    increase with lex order and a shift by x^v adds the code of v.  Codes are
-    int64 while base^N fits, and Python integers beyond that.
+    The window of degree d is floor(d) <= e <= cap entrywise.  `cap` is one
+    bound for every entry or one bound per entry; `floor` maps a degree to
+    one lower bound per entry, and is 0 when left out.  A vector's code is
+    its value in the mixed radix cap_i + 1, so the codes of a table increase
+    with lex order and a shift by x^v adds the code of v.  Codes are int64
+    while the product of the radices fits, and Python integers beyond that.
+    A DP over the slots loses every vector that leaves the window, so the
+    window must contain every vector from which one a lookup reads is still
+    reachable (`_det_slots` derives one).
     """
 
-    def __init__(self, N, cap):
+    def __init__(self, N, cap, floor=None):
         self.N = N
-        self.cap = cap
-        base = cap + 1
-        dtype = np.int64 if base**N < 2**63 else object
-        self.weights = np.array([base ** (N - 1 - i) for i in range(N)], dtype=dtype)
+        self.cap = np.broadcast_to(np.asarray(cap, dtype=np.int64), (N,))
+        self.floor = floor
+        radix = [int(c) + 1 for c in self.cap]
+        dtype = np.int64 if prod(radix) < 2**63 else object
+        self.weights = np.array([prod(radix[i + 1 :]) for i in range(N)], dtype=dtype)
         self._tables = {}
 
     def table(self, d):
@@ -79,30 +93,62 @@ class _Slots:
             got = self._tables[d] = (exps, exps @ self.weights)
         return got
 
+    def inside(self, exps, d, v=0):
+        """Mask of the rows e of `exps` with e + v in the window of degree d.
+        Comparing e with cap - v needs no (rows, N) sum."""
+        ok = exps <= self.cap - v
+        if self.floor is not None:
+            ok &= exps >= self.floor(d) - v
+        return ok.all(axis=1)
+
     def _vectors(self, d):
-        N, cap = self.N, self.cap
+        N, hi = self.N, self.cap
+        lo = np.zeros(N, dtype=np.int64) if self.floor is None else self.floor(d)
         exps = np.zeros((1, 0), dtype=np.int64)
         left = np.array([d], dtype=np.int64)
         for i in range(N - 1):
-            # the entry at i leaves a remainder the N-1-i later entries can hold
-            lo = np.maximum(left - (N - 1 - i) * cap, 0)
-            counts = np.maximum(np.minimum(left, cap) - lo + 1, 0)
+            # the entry at i leaves a remainder the later entries can hold
+            first = np.maximum(left - hi[i + 1 :].sum(), lo[i])
+            last = np.minimum(left - lo[i + 1 :].sum(), hi[i])
+            counts = np.maximum(last - first + 1, 0)
             rows = np.repeat(np.arange(len(left)), counts)
             starts = np.cumsum(counts) - counts
-            v = lo[rows] + np.arange(len(rows)) - starts[rows]
+            v = first[rows] + np.arange(len(rows)) - starts[rows]
             exps = np.column_stack([exps[rows], v])
             left = left[rows] - v
-        return np.column_stack([exps, left])[left <= cap]
+        keep = (lo[-1] <= left) & (left <= hi[-1])
+        return np.column_stack([exps, left])[keep]
 
     def shift(self, d, v):
         """(src, dst) for multiplying a degree-d table by x^v: slot src[j]
-        moves to slot dst[j] of degree d+|v|; vectors pushed over the cap are
-        left out.  The shift is injective, so dst has no repeats."""
+        moves to slot dst[j] of degree d+|v|; vectors pushed out of that
+        degree's window are left out.  The shift is injective, so dst has no
+        repeats."""
         exps, codes = self.table(d)
-        src = np.nonzero((exps + v <= self.cap).all(axis=1))[0]
-        _, tgt = self.table(d + int(v.sum()))
+        d2 = d + int(v.sum())
+        src = np.nonzero(self.inside(exps, d2, v))[0]
+        _, tgt = self.table(d2)
         dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
         return src, dst
+
+
+def _det_slots(n, w):
+    """The window of the s_(k^N) lookup on tables of shapes of size w, for
+    N = 2n+1 and k = n*w/N.
+
+    The lookup reads x^beta with beta_i = k - i + p(i) for a permutation p,
+    so k - i <= beta_i <= k - i + N - 1, and no entry of a table of size w
+    passes w.  A table of size s has w - s boxes left to place, each adding
+    at most 1 to an entry, and no entry ever decreases.  So a vector of
+    degree n*s with e_i > min(k - i + N - 1, w) or e_i < k - i - (w - s)
+    never reaches a vector the lookup reads, and the window drops it.
+    """
+    N = 2 * n + 1
+    k = n * w // N
+    i = np.arange(N)
+    return _Slots(
+        N, np.minimum(k - i + N - 1, w), lambda d: np.maximum(k - i - (w - d // n), 0)
+    )
 
 
 def _wedge_letters(n, N):
@@ -186,12 +232,10 @@ def _tableau_tables(letters, slots, bound, w):
     return {nu: arr for nu, arr in state.items() if sum(nu) == w}
 
 
-def _wedge_table(lam, n, N, cap):
-    """(slots, table) of s_lam[e_n] in N variables with entries up to cap;
-    the table is None when lam has more rows than e_n has monomials."""
-    slots = _Slots(N, cap)
-    tables = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam))
-    return slots, tables.get(lam)
+def _wedge_table(lam, n, slots):
+    """Table of s_lam[e_n] over `slots`, or None when lam has more rows than
+    e_n has monomials."""
+    return _tableau_tables(_wedge_letters(n, slots.N), slots, lam, sum(lam)).get(lam)
 
 
 def _alternation(slots, mu):
@@ -201,8 +245,8 @@ def _alternation(slots, mu):
     Only permutations p with p(i) >= i - mu_i keep the exponent
     mu_i - i + p(i) of mu + rho - p.rho non-negative.  Those allowed sets
     shrink as i grows, so rows are filled from the last one.  Exponent
-    vectors over the cap are left out: the cap is chosen so that their
-    coefficients are zero or never needed.
+    vectors outside the window of the slots are left out: the window is
+    chosen so that their coefficients are zero.
     """
     N = slots.N
     mu = tuple(mu) + (0,) * (N - len(mu))
@@ -217,7 +261,7 @@ def _alternation(slots, mu):
         signs = signs[rows] * (1 - 2 * (inversions % 2))
         perms = np.column_stack([vals, perms[rows]])
     betas = np.array(mu) - np.arange(N) + perms
-    ok = (betas <= slots.cap).all(axis=1)
+    ok = slots.inside(betas, sum(mu))
     idx = np.searchsorted(slots.table(sum(mu))[1], betas[ok] @ slots.weights)
     return idx, signs[ok]
 
@@ -241,7 +285,8 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         raise ValueError("need 1 <= n <= N")
     _check_budget(n * sum(lam), N, budget)
     # each box adds at most 1 to an entry, so the cap |lam| drops nothing
-    slots, arr = _wedge_table(lam, n, N, sum(lam))
+    slots = _Slots(N, sum(lam))
+    arr = _wedge_table(lam, n, slots)
     if arr is None:
         return {}
     exps, _ = slots.table(n * sum(lam))
@@ -262,7 +307,10 @@ def determinant_multiplicity(lam, n: int, budget: int | None = None):
 
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
     multiplicity is 0 and k is None.  The multiplicity is one alternation
-    lookup in the monomial table of the plethysm.
+    lookup in the monomial table of the plethysm.  The table keeps only the
+    window k - i - (boxes left) <= e_i <= min(k - i + N - 1, |lam|) of
+    `_det_slots`: exponents never decrease and each box left adds at most 1
+    to an entry, so no vector outside it reaches one the lookup reads.
     """
     lam = check_partition(lam)
     if n < 1:
@@ -273,8 +321,8 @@ def determinant_multiplicity(lam, n: int, budget: int | None = None):
         return None, 0
     k = total // N
     _check_budget(total, N, budget)
-    # a lookup of s_(k^N) reads exponents up to k+N-1 only
-    slots, arr = _wedge_table(lam, n, N, min(k + N - 1, sum(lam)))
+    slots = _det_slots(n, sum(lam))
+    arr = _wedge_table(lam, n, slots)
     if arr is None:
         return k, 0
     return k, _coefficient(arr, _alternation(slots, (k,) * N))
@@ -287,7 +335,9 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
     Returns (lambda, k, multiplicity) or None when the bound is exhausted.
     Budget errors propagate.  One DP pass per degree builds the monomial
     tables of every lambda of that degree; each candidate then costs one
-    alternation lookup.
+    alternation lookup.  Each pass keeps only the window
+    k - i - (boxes left) <= e_i <= min(k - i + N - 1, degree) of `_det_slots`,
+    the exponent vectors that can still become one the lookup of det^k reads.
     """
     if n < 2:
         raise ValueError("witness search needs n >= 2")
@@ -299,7 +349,7 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
             continue  # no determinant power can occur in this degree
         k = n * w // N
         _check_budget(n * w, N, budget)
-        slots = _Slots(N, min(k + N - 1, w))
+        slots = _det_slots(n, w)
         tables = _tableau_tables(letters, slots, (w,) * min(w, M), w)
         alternation = _alternation(slots, (k,) * N)
         for lam in partitions_of(w, max_rows=M):

@@ -33,7 +33,7 @@ from cypairs.pluecker import (
     transpose,
     transposition_action,
 )
-from cypairs.symfunc import find_witness
+from cypairs.symfunc import find_witness, plethysm_wedge
 
 
 def small_partitions(max_boxes, max_rows):
@@ -113,10 +113,19 @@ def test_degree_ten_witness_exists():
 
 
 def test_first_witness_is_at_degree_fifteen():
-    # budget: 15 seconds
+    # budget: 5 seconds
     start = time.perf_counter()
     assert find_witness(2, 15, budget=30) == ((7, 4, 2, 1, 1), 6, 2)
-    assert time.perf_counter() - start < 15.0
+    assert time.perf_counter() - start < 5.0
+
+
+def test_first_witness_for_n_three_is_at_degree_seven():
+    # budget: 5 seconds; the full expansion reads det^3 off the uniform-cap
+    # table, a second route to the windowed lookup of the search
+    start = time.perf_counter()
+    assert find_witness(3, 7, budget=21) == ((4, 1, 1, 1), 3, 2)
+    assert plethysm_wedge((4, 1, 1, 1), 3, budget=21)[(3,) * 7] == 2
+    assert time.perf_counter() - start < 5.0
 
 
 def test_serre_duality_corpus():

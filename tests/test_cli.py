@@ -266,12 +266,27 @@ def _run_cli(*argv, **env):
 
 @pytest.mark.parametrize("op, multiplicity", [("+", 2900), ("*", 1)])
 def test_long_chains_parse(op, multiplicity):
-    # a fresh process: how deep the parser may go depends on the caller's stack
+    # through the command line, in a fresh process
     proc = _run_cli("decompose", op.join(["O(0)"] * 2900), "--n", "2", "--json")
     out, err = proc.communicate(timeout=60)
     assert proc.returncode == 0, err
     (term,) = json.loads(out)["terms"]
     assert (term["twist"], term["multiplicity"]) == (0, multiplicity)
+
+
+def _at_depth(depth, call):
+    """call() from `depth` extra frames down the stack."""
+    return call() if depth == 0 else _at_depth(depth - 1, call)
+
+
+@pytest.mark.parametrize("depth", [0, 200, 800])
+def test_chain_length_does_not_depend_on_the_callers_stack(depth):
+    chain = "+".join(["O(0)"] * 2900)
+    nested = "O(0) + (" * 190 + "O(0)" + ")" * 190
+    got = _at_depth(
+        depth, lambda: (_parse_expression(chain, 2), _parse_expression(nested, 2))
+    )
+    assert got == ({Bundle((), (), 0): 2900}, {Bundle((), (), 0): 191})
 
 
 def test_bwb_command(capsys):

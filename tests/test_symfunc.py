@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 from math import comb, factorial
 
 import numpy as np
@@ -13,7 +14,10 @@ from cypairs import symfunc
 from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
+    _alternation,
+    _coefficient,
     _count_dtype,
+    _det_slots,
     _Slots,
     _tableau_tables,
     _wedge_letters,
@@ -89,7 +93,8 @@ def gl_dimension(mu, d):
 
 def dominant_table(lam, n, N):
     """{dominant exponent: coefficient} of s_lam[e_n] in N variables."""
-    slots, arr = _wedge_table(lam, n, N, sum(lam))
+    slots = _Slots(N, sum(lam))
+    arr = _wedge_table(lam, n, slots)
     exps, _ = slots.table(n * sum(lam))
     return {
         tuple(e): c
@@ -154,6 +159,92 @@ def shapes_by_dfs(bound, w):
 
     rec((), w)
     return out
+
+
+class _ReferenceSlots:
+    """The determinant lookup's slot table before windows: every exponent
+    vector of length N with every entry at most `cap`, codes in base cap+1.
+    Kept as the reference that the windowed tables must agree with."""
+
+    def __init__(self, N, cap):
+        self.N = N
+        self.cap = cap
+        base = cap + 1
+        dtype = np.int64 if base**N < 2**63 else object
+        self.weights = np.array([base ** (N - 1 - i) for i in range(N)], dtype=dtype)
+        self._tables = {}
+
+    def table(self, d):
+        got = self._tables.get(d)
+        if got is None:
+            exps = self._vectors(d)
+            got = self._tables[d] = (exps, exps @ self.weights)
+        return got
+
+    def _vectors(self, d):
+        N, cap = self.N, self.cap
+        exps = np.zeros((1, 0), dtype=np.int64)
+        left = np.array([d], dtype=np.int64)
+        for i in range(N - 1):
+            lo = np.maximum(left - (N - 1 - i) * cap, 0)
+            counts = np.maximum(np.minimum(left, cap) - lo + 1, 0)
+            rows = np.repeat(np.arange(len(left)), counts)
+            starts = np.cumsum(counts) - counts
+            v = lo[rows] + np.arange(len(rows)) - starts[rows]
+            exps = np.column_stack([exps[rows], v])
+            left = left[rows] - v
+        return np.column_stack([exps, left])[left <= cap]
+
+    def shift(self, d, v):
+        exps, codes = self.table(d)
+        src = np.nonzero((exps + v <= self.cap).all(axis=1))[0]
+        _, tgt = self.table(d + int(v.sum()))
+        dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
+        return src, dst
+
+
+def permutation_sign(p):
+    inversions = sum(1 for i in range(len(p)) for j in range(i) if p[j] > p[i])
+    return -1 if inversions % 2 else 1
+
+
+def det_lookup_betas(n, w):
+    """{beta: sign} over S_N of x^beta, beta_i = k - i + p(i), that the
+    s_(k^N) lookup reads in degree w: every entry in [0, w]."""
+    N = 2 * n + 1
+    k = n * w // N
+    out = {}
+    for p in permutations(range(N)):
+        beta = tuple(k - i + p[i] for i in range(N))
+        if all(0 <= b <= w for b in beta):
+            out[beta] = permutation_sign(p)
+    return out
+
+
+def reference_det_coefficients(n, w):
+    """{lam: multiplicity of det^k in S^lam(wedge^n V)} for every lam of size
+    w, from the uniform-cap tables of one pass, read by a plain sum over S_N."""
+    N = 2 * n + 1
+    k = n * w // N
+    letters = _wedge_letters(n, N)
+    slots = _ReferenceSlots(N, min(k + N - 1, w))
+    tables = _tableau_tables(letters, slots, (w,) * min(w, len(letters)), w)
+    exps, _ = slots.table(n * w)
+    position = {e: j for j, e in enumerate(map(tuple, exps.tolist()))}
+    reads = [(position[b], sign) for b, sign in det_lookup_betas(n, w).items()]
+    return {
+        lam: sum(sign * int(arr[j]) for j, sign in reads) for lam, arr in tables.items()
+    }
+
+
+def windowed_det_coefficients(n, w):
+    """The same multiplicities from one pass over the lookup's window."""
+    N = 2 * n + 1
+    letters = _wedge_letters(n, N)
+    slots = _det_slots(n, w)
+    tables = _tableau_tables(letters, slots, (w,) * min(w, len(letters)), w)
+    alternation = _alternation(slots, (n * w // N,) * N)
+    return {lam: _coefficient(arr, alternation) for lam, arr in tables.items()}
 
 
 # ------------------------------------------------------------ small cases
@@ -294,7 +385,7 @@ def test_count_dtype_switches_at_two_to_the_63():
     for M, w in ((10, 15), (35, 5), (10, 10)):
         assert _count_dtype(M, w) is np.int64
     # two letters of e_1 in 2 variables and 63 boxes run on Python integers
-    _, arr = _wedge_table((40, 23), 1, 2, 63)
+    arr = _wedge_table((40, 23), 1, _Slots(2, 63))
     assert arr.dtype == object
     assert plethysm_wedge((40, 23), 1, N=2, budget=63) == {(40, 23): 1}
 
@@ -324,6 +415,72 @@ def test_determinant_multiplicities_sum_to_kostka():
             assert got_k == k
             total += standard_tableaux_count(lam) * mult
         assert total == kostka_number((5,) * k, (2,) * d)
+
+
+# (n, w) -> K_{((2n+1)^k), (n^w)}, the coefficient of s_(k^N) in e_n^w
+WINDOW_CASES = {(2, 5): 6, (2, 10): 3396, (2, 15): 9475466, (3, 7): 225}
+
+
+@pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
+def test_windowed_det_coefficients_match_uniform_cap(n, w):
+    # the window drops only vectors the lookup can never read, so every
+    # coefficient equals the one read off the uniform-cap tables; and
+    # (wedge^n V)^{tensor w} = sum of S^lam(wedge^n V)^{f^lam} gives the
+    # Kostka sum on the one-pass tables
+    N = 2 * n + 1
+    got = windowed_det_coefficients(n, w)
+    assert got == reference_det_coefficients(n, w)
+    assert set(got) == set(partitions_of(w, max_rows=comb(N, n)))
+    if w <= 10:  # the single-shape lookup reads the same window
+        k = n * w // N
+        assert {lam: determinant_multiplicity(lam, n, n * w) for lam in got} == {
+            lam: (k, m) for lam, m in got.items()
+        }
+    total = sum(standard_tableaux_count(lam) * m for lam, m in got.items())
+    assert total == WINDOW_CASES[n, w] == kostka_number((N,) * (n * w // N), (n,) * w)
+
+
+@pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
+def test_det_lookup_reads_every_admissible_beta(n, w):
+    # the window must keep every x^beta of the alternation with entries <= w,
+    # each once and with its sign
+    slots = _det_slots(n, w)
+    idx, signs = _alternation(slots, (n * w // (2 * n + 1),) * (2 * n + 1))
+    exps, _ = slots.table(n * w)
+    want = det_lookup_betas(n, w)
+    assert len(idx) == len(want)
+    assert dict(zip(map(tuple, exps[idx].tolist()), signs.tolist())) == want
+
+
+def test_windowed_slots_match_brute_force():
+    # per-entry caps and a per-degree floor: each table is every vector in
+    # the window in lex order with increasing codes, and a shift maps each
+    # vector whose image stays in the window to the slot of that image
+    rng = random.Random(3)
+    for _ in range(30):
+        N = rng.randint(1, 5)
+        cap = [rng.randint(0, 4) for _ in range(N)]
+        base = [rng.randint(-3, 2) for _ in range(N)]
+        slots = _Slots(N, cap, lambda d: np.maximum(np.array(base) + d // 2, 0))
+        window = {}
+        for e in product(*(range(c + 1) for c in cap)):
+            d = sum(e)
+            if all(x >= max(b + d // 2, 0) for x, b in zip(e, base)):
+                window.setdefault(d, []).append(e)
+        for d in range(sum(cap) + 3):
+            exps, codes = slots.table(d)
+            assert list(map(tuple, exps.tolist())) == window.get(d, []), (cap, base, d)
+            assert (np.diff(codes) > 0).all()
+            v = np.array([rng.randint(0, 1) for _ in range(N)], dtype=np.int64)
+            src, dst = slots.shift(d, v)
+            image = window.get(d + int(v.sum()), [])
+            want = [
+                (j, image.index(t))
+                for j, e in enumerate(window.get(d, []))
+                for t in [tuple(x + y for x, y in zip(e, v.tolist()))]
+                if t in image
+            ]
+            assert list(zip(src.tolist(), dst.tolist())) == want
 
 
 def test_kostka_oracle_known_values():
