@@ -19,7 +19,7 @@ restriction of the normal and tangent pages determinate.
 from __future__ import annotations
 
 from bisect import bisect_right
-from math import comb
+from math import comb, factorial, prod
 
 from .bwb import Bundle, canonicalize, cohomology
 from .partitions import littlewood_richardson, partitions_of, weyl_dimension
@@ -123,23 +123,52 @@ def _twisted_schur_vanishing(n: int) -> dict:
     weight of S^q(Q)(-i) is q_j + 2n+1 - j on the n+1 rows of q (0-based j)
     followed by i+n, ..., i+1, and both blocks are strictly decreasing, so the
     bundle is acyclic exactly when some shifted q entry lies in (i, i+n].
-    Only the survivors go through `cohomology`; they skip `canonicalize`,
-    since stripping full columns shifts the whole weight by a constant and
-    changes neither the degree nor the dimension.
+
+    A survivor's degree is read off the same test.  Each of its `below`
+    shifted q entries that are at most i sits under all n twist entries, and
+    every other one lies above i+n, so the inversion count, the Bott degree,
+    is n * below.  When below == 0 the weight (q, i^n) is already dominant,
+    and H^0 is the GL(2n+1) irreducible of highest weight (r, 0^n) with
+    r = q - i^(n+1).  Its Weyl dimension splits into the q-block pairs
+    (r_a - r_b + b - a), one cross factor prod_{b=n+1}^{2n} (r_a + b - a)
+    per row, tabulated once per n, and the denominator sf(2n+1) / sf(n),
+    where sf(m) = prod_{k<m} k! and the zero block's own pairs cancel sf(n).
+    It depends on r alone, so it is memoized by r.  A survivor with
+    below > 0 goes through `cohomology`, so it reports its true degree and
+    dimension, and the claim grades it fail.
     """
     escapes = []
     cases = 0
     twists = range(1, 2 * n + 1)
+    # 0 <= r_a <= n-2 whenever below == 0
+    cross = [
+        [prod(r + b - a for b in range(n + 1, 2 * n + 1)) for r in range(n - 1)]
+        for a in range(n + 1)
+    ]
+    den = prod(factorial(k) for k in range(n, 2 * n + 1))
+    dims = {}
     for q in _box_partitions(n - 1, n + 1):
         cases += len(twists)
         padded = q + (0,) * (n + 1 - len(q))
         # increasing; its last entry q_0 + 2n+1 exceeds every twist i
         shifted = [padded[j] + 2 * n + 1 - j for j in range(n, -1, -1)]
         for i in twists:
-            if shifted[bisect_right(shifted, i)] <= i + n:
+            below = bisect_right(shifted, i)
+            if shifted[below] <= i + n:
                 continue
-            c = cohomology(Bundle((), q, -i), n)
-            escapes.append({"q": q, "twist": -i, "degree": c.degree, "dim": c.dim})
+            if below:
+                c = cohomology(Bundle((), q, -i), n)
+                degree, dim = c.degree, c.dim
+            else:
+                degree = n * below
+                r = tuple(x - i for x in padded)
+                dim = dims.get(r)
+                if dim is None:
+                    num = prod(cross[a][x] for a, x in enumerate(r)) * prod(
+                        r[a] - r[b] + b - a for b in range(n + 1) for a in range(b)
+                    )
+                    dim = dims[r] = num // den
+            escapes.append({"q": q, "twist": -i, "degree": degree, "dim": dim})
     expected = all(
         len(e["q"]) == n + 1 and e["q"][-1] >= -e["twist"] and e["degree"] == 0
         for e in escapes

@@ -79,6 +79,15 @@ def test_claims_suite_has_no_failures():
     assert time.perf_counter() - start < 300.0
 
 
+def test_claims_suite_at_nine_is_fast():
+    # budget: 2 seconds; the twisted-Schur sweep alone covers 787,644 cases
+    start = time.perf_counter()
+    report = verify_vanishing_claims(9)
+    assert report["status"] == "deviation"
+    assert all(c["status"] != "fail" for c in report["checks"])
+    assert time.perf_counter() - start < 2.0
+
+
 def test_l_equivalence_certificates():
     # budget: 1 second
     start = time.perf_counter()

@@ -137,21 +137,40 @@ def twisted_schur_by_cases(n):
 
 
 def test_twisted_schur_sweep_matches_per_case_walk():
-    for n in range(2, 8):
+    for n in range(2, 9):
         got = _twisted_schur_vanishing(n)
         assert (got["cases"], got["escapes"]) == twisted_schur_by_cases(n), n
 
 
 def test_twisted_schur_collision_interval():
-    # S^q(Q)(-i) is acyclic exactly when a shifted q entry lies in (i, i+n]
+    # S^q(Q)(-i) is acyclic exactly when a shifted q entry lies in (i, i+n];
+    # otherwise its degree is n times the number of shifted q entries <= i,
+    # and with none of them the weight is already dominant
     for n in range(2, 7):
         for q in box(n):
             padded = q + (0,) * (n + 1 - len(q))
             shifted = [x + 2 * n + 1 - j for j, x in enumerate(padded)]
             for i in range(1, 2 * n + 1):
+                weight = to_weight(Bundle((), q, -i), n)
+                res = bott(weight)
                 collides = any(i < s <= i + n for s in shifted)
-                vanishes = bott(to_weight(Bundle((), q, -i), n)) is None
-                assert collides == vanishes, (n, q, i)
+                assert collides == (res is None), (n, q, i)
+                if collides:
+                    continue
+                below = sum(1 for s in shifted if s <= i)
+                assert res[0] == n * below, (n, q, i)
+                if below == 0:
+                    assert res[1] == weight, (n, q, i)
+
+
+def test_twisted_schur_counts_closed_form():
+    # the box has C(2n, n-1) partitions and there are 2n twists; the escapes
+    # are the r = q - i^(n+1) in the (n+1) x (n-1-i) boxes, summed over i by
+    # the hockey stick
+    for n in range(2, 10):
+        got = _twisted_schur_vanishing(n)
+        assert got["cases"] == 2 * n * comb(2 * n, n - 1), n
+        assert len(got["escapes"]) == comb(2 * n, n - 2), n
 
 
 def test_double_wedge_single_escape():
