@@ -127,20 +127,23 @@ def _twisted_schur_vanishing(n: int) -> dict:
     A survivor's degree is read off the same test.  Each of its `below`
     shifted q entries that are at most i sits under all n twist entries, and
     every other one lies above i+n, so the inversion count, the Bott degree,
-    is n * below.  When below == 0 the weight (q, i^n) is already dominant,
-    and H^0 is the GL(2n+1) irreducible of highest weight (r, 0^n) with
-    r = q - i^(n+1).  Its Weyl dimension splits into the q-block pairs
+    is n * below.  In the box below is always 0: consecutive shifted q
+    entries differ by q_j - q_{j+1} + 1, between 1 and n, and the top one,
+    q_0 + 2n+1, exceeds every twist, so an entry <= i would put the next
+    one in (i, i+n].  The degree is still computed for every survivor, and
+    the claim would grade a nonzero one fail.
+
+    With below == 0 the weight (q, i^n) is already dominant, and H^0 is the
+    GL(2n+1) irreducible of highest weight (r, 0^n) with r = q - i^(n+1),
+    0 <= r_a <= n-2.  Its Weyl dimension splits into the q-block pairs
     (r_a - r_b + b - a), one cross factor prod_{b=n+1}^{2n} (r_a + b - a)
-    per row, tabulated once per n, and the denominator sf(2n+1) / sf(n),
-    where sf(m) = prod_{k<m} k! and the zero block's own pairs cancel sf(n).
-    It depends on r alone, so it is memoized by r.  A survivor with
-    below > 0 goes through `cohomology`, so it reports its true degree and
-    dimension, and the claim grades it fail.
+    per row, tabulated once per n, and the exact denominator
+    sf(2n+1) / sf(n), where sf(m) = prod_{k<m} k! and the zero block's own
+    pairs cancel sf(n).  It depends on r alone, so it is memoized by r.
     """
     escapes = []
     cases = 0
     twists = range(1, 2 * n + 1)
-    # 0 <= r_a <= n-2 whenever below == 0
     cross = [
         [prod(r + b - a for b in range(n + 1, 2 * n + 1)) for r in range(n - 1)]
         for a in range(n + 1)
@@ -156,19 +159,16 @@ def _twisted_schur_vanishing(n: int) -> dict:
             below = bisect_right(shifted, i)
             if shifted[below] <= i + n:
                 continue
-            if below:
-                c = cohomology(Bundle((), q, -i), n)
-                degree, dim = c.degree, c.dim
-            else:
-                degree = n * below
-                r = tuple(x - i for x in padded)
-                dim = dims.get(r)
-                if dim is None:
-                    num = prod(cross[a][x] for a, x in enumerate(r)) * prod(
-                        r[a] - r[b] + b - a for b in range(n + 1) for a in range(b)
-                    )
-                    dim = dims[r] = num // den
-            escapes.append({"q": q, "twist": -i, "degree": degree, "dim": dim})
+            r = tuple(x - i for x in padded)
+            dim = dims.get(r)
+            if dim is None:
+                num = prod(cross[a][x] for a, x in enumerate(r)) * prod(
+                    r[a] - r[b] + b - a for b in range(n + 1) for a in range(b)
+                )
+                dim, rem = divmod(num, den)
+                assert rem == 0 and dim >= 1
+                dims[r] = dim
+            escapes.append({"q": q, "twist": -i, "degree": n * below, "dim": dim})
     expected = all(
         len(e["q"]) == n + 1 and e["q"][-1] >= -e["twist"] and e["degree"] == 0
         for e in escapes

@@ -83,9 +83,14 @@ def test_claims_suite_at_nine_is_fast():
     # budget: 2 seconds; the twisted-Schur sweep alone covers 787,644 cases
     start = time.perf_counter()
     report = verify_vanishing_claims(9)
+    assert time.perf_counter() - start < 2.0
     assert report["status"] == "deviation"
     assert all(c["status"] != "fail" for c in report["checks"])
-    assert time.perf_counter() - start < 2.0
+    # the closed forms of tests/test_bundles.py at n = 9
+    sweep = report["checks"][0]
+    assert sweep["name"] == "twisted_schur_vanishing"
+    assert sweep["cases"] == 18 * comb(18, 8) == 787644
+    assert len(sweep["escapes"]) == comb(18, 7) == 31824
 
 
 def test_l_equivalence_certificates():
