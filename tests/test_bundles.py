@@ -136,19 +136,15 @@ def twisted_schur_by_cases(n):
     return cases, escapes
 
 
-def assert_twisted_schur_counts(got, n):
-    # the box has C(2n, n-1) partitions and there are 2n twists; the escapes
-    # are the r = q - i^(n+1) in the (n+1) x (n-1-i) boxes, summed over i by
-    # the hockey stick
-    assert got["cases"] == 2 * n * comb(2 * n, n - 1), n
-    assert len(got["escapes"]) == comb(2 * n, n - 2), n
-
-
 def test_twisted_schur_sweep_matches_per_case_walk():
     for n in range(2, 9):
         got = _twisted_schur_vanishing(n)
         assert (got["cases"], got["escapes"]) == twisted_schur_by_cases(n), n
-        assert_twisted_schur_counts(got, n)
+        # closed forms: the box has C(2n, n-1) partitions and there are 2n
+        # twists; the escapes are the r = q - i^(n+1) in the (n+1) x (n-1-i)
+        # boxes, summed over i by the hockey stick
+        assert got["cases"] == 2 * n * comb(2 * n, n - 1), n
+        assert len(got["escapes"]) == comb(2 * n, n - 2), n
 
 
 def test_twisted_schur_collision_interval():
