@@ -401,14 +401,11 @@ CLAIM_ARGV = {
     "l_equivalence": ["motivic"],
     "middle_hodge_parity": ["hodge"],
     "family_dimension": ["koszul", "family-dim"],
-    "symmetry_obstruction": ["pluecker", "--trials", "2", "--seed", "1"],
+    "symmetry_obstruction": ["pluecker"],
 }
 
 
 def test_claim_subcommands_print_the_verify_detail(capsys):
-    argv = ["verify", "--n", "2,3", "--trials", "2", "--seed", "1"]
-    code, suite = run_json(capsys, argv)
-    assert code == 0
     assert list(CLAIMS) == list(CLAIM_ARGV)
     vanishing = [
         "twisted_schur_vanishing",
@@ -417,17 +414,23 @@ def test_claim_subcommands_print_the_verify_detail(capsys):
         "deformation_page_vanishing",
         "restricted_sections",
     ]
-    assert [case["claim"] for case in suite["cases"]] == 2 * (vanishing + list(CLAIMS))
-    cases = {(case["n"], case["claim"]): case for case in suite["cases"]}
-    for n in (2, 3):
-        for claim, argv in CLAIM_ARGV.items():
-            code, out = run_json(capsys, argv + ["--n", str(n)])
-            assert code == 0
-            assert out.pop("schema") == 1 and out.pop("command") == argv[0]
-            out.pop("action", None)
-            case = cases[(n, claim)]
-            assert out.pop("status") == case["status"], (n, claim)
-            assert out == case["detail"], (n, claim)
+    # with no flags both sides use the one default trial count and seed
+    for probe_flags, trials in (([], 5), (["--trials", "2", "--seed", "1"], 2)):
+        code, suite = run_json(capsys, ["verify", "--n", "2,3"] + probe_flags)
+        assert code == 0
+        assert [case["claim"] for case in suite["cases"]] == 2 * (vanishing + list(CLAIMS))
+        cases = {(case["n"], case["claim"]): case for case in suite["cases"]}
+        for n in (2, 3):
+            for claim, argv in CLAIM_ARGV.items():
+                flags = probe_flags if claim == "symmetry_obstruction" else []
+                code, out = run_json(capsys, argv + flags + ["--n", str(n)])
+                assert code == 0
+                assert out.pop("schema") == 1 and out.pop("command") == argv[0]
+                out.pop("action", None)
+                case = cases[(n, claim)]
+                assert out.pop("status") == case["status"], (n, claim, flags)
+                assert out == case["detail"], (n, claim, flags)
+        assert cases[(2, "symmetry_obstruction")]["detail"]["trials"] == trials
 
 
 @pytest.mark.parametrize("flags, golden", [

@@ -7,7 +7,6 @@ from itertools import combinations
 import pytest
 
 from cypairs.pluecker import (
-    _apply,
     _compound,
     _twist_fixes,
     as_matrix,
@@ -343,22 +342,45 @@ def test_twist_predicate_is_exactly_the_matrix_equation():
         m = _compound([[int(v) for v in row] for row in general], k)
         for s, mat in ((fixed, p), (x, p), (fixed, m), (x, m)):
             s = tuple(map(tuple, s))
-            r = tuple(rng.randint(-5, 5) for _ in range(d))
             want = product(s, mat) == product(mat, list(zip(*s)))
-            assert _twist_fixes(s, mat, r) is want
+            assert _twist_fixes(s, mat) is want
             hits += want
             checked += 1
     assert hits >= 40 and checked - hits >= 40
 
 
 def test_twist_predicate_full_compare_after_agreeing_vectors():
-    # S - S^T = u v^T - v u^T with u, v orthogonal to r: the vectors agree
-    # for M = I, so only the full comparison can refute the equation
-    r = (1, 2, 3, 4)
-    u, v = (2, -1, 0, 0), (0, 4, 0, -2)
-    a = [[u[i] * v[j] - v[i] * u[j] for j in range(4)] for i in range(4)]
-    s = tuple(tuple(a[i][j] if j > i else 0 for j in range(4)) for i in range(4))
-    one = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
-    assert _apply(s, _apply(one, r)) == _apply(one, _apply(tuple(zip(*s)), r))
-    assert not _twist_fixes(s, one, r)
-    assert _twist_fixes(one, one, r)
+    # S = diag(1..d) and M = I + E_(0,d-1): S M - M S^T = (1 - d) E_(0,d-1),
+    # so every column but the last agrees and only the last one refutes
+    d = 5
+    s = tuple(tuple(i + 1 if i == j else 0 for j in range(d)) for i in range(d))
+    m = tuple(tuple(int(i == j or (i, j) == (0, d - 1)) for j in range(d))
+              for i in range(d))
+    left, right = product(s, m), product(m, list(zip(*s)))
+    for j in range(d):
+        agree = [row[j] for row in left] == [row[j] for row in right]
+        assert agree is (j < d - 1)
+    assert not _twist_fixes(s, m)
+    one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
+    assert _twist_fixes(one, m)
+
+
+def test_twist_predicate_hits_a_symmetric_compound_section():
+    # M = C_k(g g^T) = C_k(g) C_k(g)^T is symmetric, so S = M is a fixed
+    # section other than the identity: S M = M M = M S^T
+    rng = random.Random(163)
+    for _ in range(20):
+        big = rng.randint(3, 5)
+        k = rng.randint(1, big - 1)
+        g = [[rng.randint(-3, 3) for _ in range(big)] for _ in range(big)]
+        m = _compound(product(g, list(zip(*g))), k)
+        assert m == tuple(zip(*m))
+        assert any(m[i][j] for i in range(len(m)) for j in range(i))
+        assert _twist_fixes(m, m)
+
+
+def test_empty_matrices_are_accepted():
+    assert mat_mul((), ()) == ()
+    assert mat_vec((), ()) == ()
+    assert section_eval((), (), ()) == 0
+    assert det(()) == 1 and inverse(()) == () and compound((), 0) == ((1,),)
