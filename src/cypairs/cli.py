@@ -42,7 +42,7 @@ from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
 from .motivic import l_equivalence_certificate
 from .partitions import trim
-from .pluecker import symmetry_obstruction_probe
+from .pluecker import _DEFAULT_TRIALS, symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
@@ -194,10 +194,6 @@ def _symmetry_obstruction(n, seed, trials):
     return ("assumption" if probe["obstructed"] else "fail"), probe
 
 
-# the probe's trial count when none is given, one default for `pluecker` and
-# `verify`, so a claim's subcommand reports what `verify` does without flags
-_TRIALS = 5
-
 # claim -> grade(n, seed, trials) -> (status, detail), in `verify` order;
 # seed and trials only reach the sampled probe
 CLAIMS = {
@@ -208,7 +204,7 @@ CLAIMS = {
 }
 
 
-def _claim(name: str, n: int, seed: int = 0, trials: int = _TRIALS) -> dict:
+def _claim(name: str, n: int, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
     if n < 2:
         raise ValueError("the claims are stated for n >= 2")
     status, detail = CLAIMS[name](n, seed, trials)
@@ -262,7 +258,7 @@ def cmd_pluecker(args) -> dict:
     return _claim("symmetry_obstruction", args.n, args.seed, args.trials)
 
 
-def run_suite(ns, seed: int = 0, trials: int = _TRIALS) -> dict:
+def run_suite(ns, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
     """One case per (claim, n): the vanishing claims table, then `CLAIMS`."""
     if not ns:
         raise ValueError("no sizes given; --n takes a comma list such as 2,3")
@@ -352,13 +348,13 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("pluecker", parents=[common], help="section symmetry probe")
     p.add_argument("--n", type=int, default=2)
-    p.add_argument("--trials", type=int, default=_TRIALS)
+    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_pluecker)
 
     p = sub.add_parser("verify", parents=[common], help="run the claims suite")
     p.add_argument("--n", default="2,3", help="comma list of sizes")
-    p.add_argument("--trials", type=int, default=_TRIALS)
+    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 

@@ -232,12 +232,6 @@ def _tableau_tables(letters, slots, bound, w):
     return {nu: arr for nu, arr in state.items() if sum(nu) == w}
 
 
-def _wedge_table(lam, n, slots):
-    """Table of s_lam[e_n] over `slots`, or None when lam has more rows than
-    e_n has monomials."""
-    return _tableau_tables(_wedge_letters(n, slots.N), slots, lam, sum(lam)).get(lam)
-
-
 def _alternation(slots, mu):
     """(idx, signs) such that the coefficient of s_mu in a table `arr` is
     sum(signs * arr[idx]).
@@ -286,7 +280,8 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
     _check_budget(n * sum(lam), N, budget)
     # each box adds at most 1 to an entry, so the cap |lam| drops nothing
     slots = _Slots(N, sum(lam))
-    arr = _wedge_table(lam, n, slots)
+    # no table when lam has more rows than e_n has monomials
+    arr = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam)).get(lam)
     if arr is None:
         return {}
     exps, _ = slots.table(n * sum(lam))
@@ -302,30 +297,33 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
     return out
 
 
+def _det_multiplicities(n, w, bound, budget):
+    """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for the shapes lam
+    of size w inside `bound`, dim V = N = 2n+1, read by one alternation from
+    one DP pass over the window of `_det_slots`; (None, {}) unless N divides n*w."""
+    N = 2 * n + 1
+    if (n * w) % N:
+        return None, {}
+    k = n * w // N
+    _check_budget(n * w, N, budget)
+    slots = _det_slots(n, w)
+    tables = _tableau_tables(_wedge_letters(n, N), slots, bound, w)
+    alternation = _alternation(slots, (k,) * N)
+    return k, {lam: _coefficient(arr, alternation) for lam, arr in tables.items()}
+
+
 def determinant_multiplicity(lam, n: int, budget: int | None = None):
     """(k, multiplicity) of the determinant power det^k inside S^lam(wedge^n V).
 
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
-    multiplicity is 0 and k is None.  The multiplicity is one alternation
-    lookup in the monomial table of the plethysm.  The table keeps only the
-    window k - i - (boxes left) <= e_i <= min(k - i + N - 1, |lam|) of
-    `_det_slots`: exponents never decrease and each box left adds at most 1
-    to an entry, so no vector outside it reaches one the lookup reads.
+    multiplicity is 0 and k is None.  A lam with more rows than e_n has
+    monomials has no table, and multiplicity 0.
     """
     lam = check_partition(lam)
     if n < 1:
         raise ValueError("need n >= 1")
-    N = 2 * n + 1
-    total = n * sum(lam)
-    if total % N:
-        return None, 0
-    k = total // N
-    _check_budget(total, N, budget)
-    slots = _det_slots(n, sum(lam))
-    arr = _wedge_table(lam, n, slots)
-    if arr is None:
-        return k, 0
-    return k, _coefficient(arr, _alternation(slots, (k,) * N))
+    k, mults = _det_multiplicities(n, sum(lam), lam, budget)
+    return k, mults.get(lam, 0)
 
 
 def find_witness(n: int, degree_bound: int, budget: int | None = None):
@@ -333,29 +331,19 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
     s_lambda[e_n] contains a determinant power with multiplicity >= 2.
 
     Returns (lambda, k, multiplicity) or None when the bound is exhausted.
-    Budget errors propagate.  One DP pass per degree builds the monomial
-    tables of every lambda of that degree; each candidate then costs one
-    alternation lookup.  Each pass keeps only the window
-    k - i - (boxes left) <= e_i <= min(k - i + N - 1, degree) of `_det_slots`,
-    the exponent vectors that can still become one the lookup of det^k reads.
+    Budget errors propagate.  One DP pass per degree reads all its lambdas.
     """
     if n < 2:
         raise ValueError("witness search needs n >= 2")
-    N = 2 * n + 1
-    letters = _wedge_letters(n, N)
-    M = len(letters)
+    M = comb(2 * n + 1, n)
     for w in range(1, degree_bound + 1):
-        if (n * w) % N:
+        k, mults = _det_multiplicities(n, w, (w,) * min(w, M), budget)
+        if k is None:
             continue  # no determinant power can occur in this degree
-        k = n * w // N
-        _check_budget(n * w, N, budget)
-        slots = _det_slots(n, w)
-        tables = _tableau_tables(letters, slots, (w,) * min(w, M), w)
-        alternation = _alternation(slots, (k,) * N)
+        # graded lex is the order of partitions_of, not that of the dict
         for lam in partitions_of(w, max_rows=M):
-            m = _coefficient(tables[lam], alternation)
-            if m >= 2:
-                return lam, k, m
+            if mults[lam] >= 2:
+                return lam, k, mults[lam]
     return None
 
 

@@ -13,6 +13,7 @@ import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
 from cypairs.cli import CLAIMS, _exit_code, _parse_expression, main
+from cypairs.pluecker import symmetry_obstruction_probe
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -362,6 +363,15 @@ def test_pluecker_command_is_deterministic(capsys):
     assert first["hits"] == 0
     _, second = run_json(capsys, args)
     assert first == second
+
+
+def test_probe_default_is_the_command_default(capsys):
+    # the library and the command share one default trial count
+    code, out = run_json(capsys, ["pluecker", "--n", "2"])
+    assert code == 0
+    assert out.pop("schema") == 1 and out.pop("command") == "pluecker"
+    assert out.pop("status") == "assumption"
+    assert symmetry_obstruction_probe(2, seed=0) == out
 
 
 def test_pluecker_probe_at_n_four(capsys):

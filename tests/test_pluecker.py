@@ -169,6 +169,12 @@ def test_section_eval_matches_explicit_sum():
         assert section_eval(s, x, y) == explicit
 
 
+@pytest.mark.parametrize("y", [(1,), (1, 0, 5)])
+def test_section_eval_rejects_a_point_of_the_wrong_length(y):
+    with pytest.raises(ValueError, match="shape mismatch"):
+        section_eval([[1, 2], [3, 4]], (1, 0), y)
+
+
 def test_transposition_action_is_the_pullback():
     # The twisted section evaluated at (x, y) agrees with the original
     # section evaluated at the swapped images (M^{-T} y, M x), exactly.

@@ -15,13 +15,11 @@ from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
     _alternation,
-    _coefficient,
     _count_dtype,
     _det_slots,
     _Slots,
     _tableau_tables,
     _wedge_letters,
-    _wedge_table,
     determinant_multiplicity,
     dimension_gap,
     find_witness,
@@ -94,7 +92,7 @@ def gl_dimension(mu, d):
 def dominant_table(lam, n, N):
     """{dominant exponent: coefficient} of s_lam[e_n] in N variables."""
     slots = _Slots(N, sum(lam))
-    arr = _wedge_table(lam, n, slots)
+    arr = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam))[lam]
     exps, _ = slots.table(n * sum(lam))
     return {
         tuple(e): c
@@ -237,16 +235,6 @@ def reference_det_coefficients(n, w):
     }
 
 
-def windowed_det_coefficients(n, w):
-    """The same multiplicities from one pass over the lookup's window."""
-    N = 2 * n + 1
-    letters = _wedge_letters(n, N)
-    slots = _det_slots(n, w)
-    tables = _tableau_tables(letters, slots, (w,) * min(w, len(letters)), w)
-    alternation = _alternation(slots, (n * w // N,) * N)
-    return {lam: _coefficient(arr, alternation) for lam, arr in tables.items()}
-
-
 # ------------------------------------------------------------ small cases
 
 
@@ -264,6 +252,8 @@ def test_plethysm_degree_two():
 def test_plethysm_too_many_rows_vanishes():
     # S^lam(wedge^n V) = 0 once lam has more than binomial(N, n) rows
     assert plethysm_wedge((1,) * 3, 1, N=2) == {}
+    # and the determinant lookup reads 0: 15 rows against the 10 letters of e_2
+    assert determinant_multiplicity((1,) * 15, 2, budget=30) == (6, 0)
 
 
 def test_symmetric_powers_of_wedge_two_even_column_rule():
@@ -385,7 +375,7 @@ def test_count_dtype_switches_at_two_to_the_63():
     for M, w in ((10, 15), (35, 5), (10, 10)):
         assert _count_dtype(M, w) is np.int64
     # two letters of e_1 in 2 variables and 63 boxes run on Python integers
-    arr = _wedge_table((40, 23), 1, _Slots(2, 63))
+    arr = _tableau_tables(_wedge_letters(1, 2), _Slots(2, 63), (40, 23), 63)[(40, 23)]
     assert arr.dtype == object
     assert plethysm_wedge((40, 23), 1, N=2, budget=63) == {(40, 23): 1}
 
@@ -428,7 +418,7 @@ def test_windowed_det_coefficients_match_uniform_cap(n, w):
     # (wedge^n V)^{tensor w} = sum of S^lam(wedge^n V)^{f^lam} gives the
     # Kostka sum on the one-pass tables
     N = 2 * n + 1
-    got = windowed_det_coefficients(n, w)
+    got = symfunc._det_multiplicities(n, w, (w,) * comb(N, n), n * w)[1]
     assert got == reference_det_coefficients(n, w)
     assert set(got) == set(partitions_of(w, max_rows=comb(N, n)))
     if w <= 10:  # the single-shape lookup reads the same window
