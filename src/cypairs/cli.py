@@ -41,7 +41,7 @@ from .bwb import canonicalize, cohomology
 from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
 from .motivic import l_equivalence_certificate
-from .partitions import trim
+from .partitions import check_partition, trim
 from .pluecker import _DEFAULT_TRIALS, symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
@@ -213,9 +213,12 @@ def _claim(name: str, n: int, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> d
 
 def cmd_koszul(args) -> dict:
     if args.action == "family-dim":
+        if args.expression is not None:
+            raise ValueError("family-dim takes no expression")
         return {"action": "family-dim", **_claim("family_dimension", args.n)}
-    terms = _parse_expression(args.expression, args.n)
-    out = {"action": "restrict", "n": args.n, "expression": args.expression}
+    expression = "O(0)" if args.expression is None else args.expression
+    terms = _parse_expression(expression, args.n)
+    out = {"action": "restrict", "n": args.n, "expression": expression}
     restricted = restricted_cohomology(terms, args.n)
     if not restricted.determinate:
         out["status"] = "indeterminate"
@@ -235,7 +238,7 @@ def cmd_hodge(args) -> dict:
 
 
 def cmd_plethysm(args) -> dict:
-    lam = _ints(args.lam)
+    lam = check_partition(_ints(args.lam))
     N = 2 * args.wedge + 1 if args.nvars is None else args.nvars
     out = {"lam": list(lam), "wedge": args.wedge}
     try:
@@ -327,7 +330,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("koszul", parents=[common], help="restriction to the zero locus")
     p.add_argument("action", choices=["restrict", "family-dim"])
-    p.add_argument("expression", nargs="?", default="O(0)")
+    p.add_argument("expression", nargs="?", default=None, help="restrict only; default O(0)")
     p.add_argument("--n", type=int, default=2)
     p.set_defaults(handler=cmd_koszul)
 

@@ -54,6 +54,8 @@ def default_budget(N: int) -> int:
 def _check_budget(degree, N, budget):
     if budget is None:
         budget = default_budget(N)
+    if budget < 0:
+        raise ValueError(f"negative degree budget {budget}")
     if degree > budget:
         raise BudgetExceeded(
             f"plethysm degree n*|lambda| = {degree} exceeds budget {budget}"

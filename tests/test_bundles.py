@@ -158,6 +158,8 @@ def test_twisted_schur_collision_interval():
             for i in range(1, 2 * n + 1):
                 weight = to_weight(Bundle((), q, -i), n)
                 res = bott(weight)
+                # the lemma the sweep lists its escapes by
+                assert (res is not None) == (len(q) == n + 1 and i <= q[-1]), (n, q, i)
                 collides = any(i < s <= i + n for s in shifted)
                 assert collides == (res is None), (n, q, i)
                 if collides:

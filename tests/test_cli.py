@@ -316,6 +316,9 @@ def test_koszul_restrict_statuses(capsys):
         {"degree": 0, "dim": 1},
         {"degree": 3, "dim": 1},
     ]
+    # with no expression, restrict reads O(0)
+    _, default = run_json(capsys, ["koszul", "restrict", "--n", "2"])
+    assert default["expression"] == "O(0)" and default["restricted"] == out["restricted"]
     code, out = run_json(capsys, ["koszul", "restrict", "O(-3)", "--n", "2"])
     assert code == 0
     assert out["status"] == "indeterminate"
@@ -354,6 +357,11 @@ def test_plethysm_command(capsys):
     assert code == 0
     assert out["expansion"]["terms"] == [{"mu": [2, 2, 2], "coeff": 1}]
     assert out["determinant"] == {"power": 2, "multiplicity": 1}
+    # the echoed lam is the partition expanded, trailing zeros dropped
+    _, out = run_json(capsys, ["plethysm", "--lam", "2,1,0", "--wedge", "2"])
+    assert out["lam"] == [2, 1]
+    _, out = run_json(capsys, ["plethysm", "--lam", "0", "--wedge", "2"])
+    assert out["lam"] == [] and out["expansion"]["terms"] == [{"mu": [], "coeff": 1}]
 
 
 def test_pluecker_command_is_deterministic(capsys):
@@ -515,6 +523,8 @@ def test_parse_error_exits_two(capsys):
     ["motivic", "--n", "1"],
     ["hodge", "--n", "1"],
     ["koszul", "family-dim", "--n", "1"],
+    ["koszul", "family-dim", "Q", "--n", "3"],
+    ["plethysm", "--lam", "2,1", "--wedge", "2", "--budget-degree", "-1"],
     ["decompose", "(" * 400 + "Q" + ")" * 400, "--n", "2"],
     ["decompose", "O(True)", "--n", "2"],
     ["decompose", "Q - Q", "--n", "2"],

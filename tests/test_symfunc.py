@@ -518,6 +518,11 @@ def test_budget_enforcement():
         find_witness(2, 11, budget=10)
     # an explicit budget unlocks the same call
     assert plethysm_wedge((5,), 3, budget=15)
+    # a negative budget is bad input, not an over-budget request
+    with pytest.raises(ValueError):
+        plethysm_wedge((1,), 2, budget=-1)
+    with pytest.raises(ValueError):
+        find_witness(2, 5, budget=-1)
 
 
 def test_dimension_gap_values():
