@@ -13,23 +13,25 @@ can reach 2^63, and Python integers otherwise.  Multiplying by a letter shifts
 codes, and `searchsorted` finds the target slots.  One pass yields the
 tables of every shape of a degree, which is what the witness search scans.
 
-Each table keeps only the exponent vectors inside a window.  Exponents
-never decrease along the DP, and each box still to place adds at most 1 to
-any one entry, so a vector with an entry above the largest one a lookup
-reads, or below the smallest one less the boxes left, never becomes a vector
-the lookup reads.  The full expansion reads every dominant exponent and keeps
-the cap |lambda| on every entry, with no floor.  The determinant lookup reads
-only beta_i = k - i + p(i) for permutations p, and keeps
-k - i - (boxes left) <= e_i <= min(k - i + N - 1, |lambda|).
-
 The coefficient of s_mu is read off a table by Weyl alternation (Macdonald,
 Symmetric Functions and Hall Polynomials, I.3): the sum over w in S_N of
 sgn(w) times the coefficient of x^(mu + rho - w rho), taken over the
 permutations that leave every exponent non-negative.  Every value is an exact
 integer; a negative Schur coefficient contradicts Schur positivity and raises.
+The full expansion reads every dominant exponent this way, off tables that
+keep every exponent vector with entries up to |lambda|.
 
 The determinant power det^k = S^{(k^N)}V can appear in S^lambda(wedge^n V) only
-for k = n*|lambda|/N; its multiplicity drives the witness search.
+for k = n*|lambda|/N; its multiplicity drives the witness search.  The
+alternation is linear, so that multiplicity is one coefficient: the one of
+x^beta, beta = (k^N) + rho, in a_rho * s_lambda[e_n], where a_rho is the sum
+over w in S_N of sgn(w) x^(w rho).  So the determinant DP starts from a_rho in
+place of 1 and reads the single slot beta.  Exponents never decrease along the
+DP, and each box still to place adds at most 1 to an entry, and only to the
+entries of the variables that some letter still to place contains (the live
+ones).  So a table with r boxes left keeps only beta - r*live <= e <= beta:
+every other vector never becomes beta, and a finished variable's entry is
+pinned to its entry of beta.
 """
 
 from __future__ import annotations
@@ -135,22 +137,45 @@ class _Slots:
 
 
 def _det_slots(n, w):
-    """The window of the s_(k^N) lookup on tables of shapes of size w, for
+    """(windows, start) of the det^k lookup on tables of shapes of size w, for
     N = 2n+1 and k = n*w/N.
 
-    The lookup reads x^beta with beta_i = k - i + p(i) for a permutation p,
-    so k - i <= beta_i <= k - i + N - 1, and no entry of a table of size w
-    passes w.  A table of size s has w - s boxes left to place, each adding
-    at most 1 to an entry, and no entry ever decreases.  So a vector of
-    degree n*s with e_i > min(k - i + N - 1, w) or e_i < k - i - (w - s)
-    never reaches a vector the lookup reads, and the window drops it.
+    The DP starts from start = (|rho|, a_rho): the degree and the table of
+    a_rho, rho = (N-1, ..., 1, 0), and the lookup reads the single slot
+    beta = (k^N) + rho.  windows[i] is the window of the tables while letter
+    i is placed.  A table of size s has r = w - s boxes left, exponents never
+    decrease, and each box adds at most 1 to an entry, and only to the entries
+    of the variables that letter i or a later one contains (live).  So a vector
+    outside beta - r*live <= e <= beta never reaches beta, and the window drops
+    it; a finished variable is pinned to its entry of beta.  The letters of one
+    live set share one window, and every window has the cap beta, so their
+    codes agree.  At size w every window holds beta alone.
+
+    The terms of a_rho are x^(p.rho) with sign sgn(p).  The ones with
+    p.rho <= beta are beta minus the terms of the s_(k^N) alternation, with
+    the same signs.
     """
     N = 2 * n + 1
     k = n * w // N
-    i = np.arange(N)
-    return _Slots(
-        N, np.minimum(k - i + N - 1, w), lambda d: np.maximum(k - i - (w - d // n), 0)
-    )
+    rho = np.arange(N - 1, -1, -1)
+    beta, offset = k + rho, int(rho.sum())
+    letters = _wedge_letters(n, N)
+    live = np.maximum.accumulate(letters[::-1])[::-1]
+    windows = []
+    for i, row in enumerate(live):
+        if not i or (row != live[i - 1]).any():
+            window = _Slots(
+                N, beta, lambda d, row=row: np.maximum(beta - (w - (d - offset) // n) * row, 0)
+            )
+        windows.append(window)
+    first = windows[0]
+    terms, signs = _weyl_terms((k,) * N)
+    exps = beta - terms
+    ok = first.inside(exps, offset)
+    _, codes = first.table(offset)
+    start = np.zeros(len(codes), dtype=np.int64)
+    start[np.searchsorted(codes, exps[ok] @ first.weights)] = signs[ok]
+    return windows, (offset, start)
 
 
 def _wedge_letters(n, N):
@@ -180,72 +205,121 @@ def _strip_sources(nu):
     return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
 
 
-def _count_dtype(M, w):
-    """dtype of the DP counts for shapes of size at most w over M letters.
+def _count_dtype(M, w, terms=1):
+    """dtype of the DP counts for shapes of size at most w over M letters,
+    from a start table whose entries have absolute values summing to `terms`.
 
-    A count of shape nu is a number of semistandard tableaux of shape nu
-    with one content, at most dim S^nu(C^M) <= M^|nu|.  So int64 holds every
-    count while M^w < 2^63, and Python integers are used beyond that.
+    From one start vector, a count of shape nu is a number of semistandard
+    tableaux of shape nu with one content, at most dim S^nu(C^M) <= M^|nu|.
+    Every sum the DP forms, signed or not, runs over distinct pairs of a start
+    vector and a tableau, so it is at most terms * M^|nu| in absolute value.
+    So int64 holds every count while terms * M^w < 2^63, and Python integers
+    are used beyond that.
     """
-    return np.int64 if M**w < 2**63 else object
+    return np.int64 if terms * M**w < 2**63 else object
 
 
-def _tableau_tables(letters, slots, bound, w):
+def _tableau_tables(letters, slots, bound, w, start=None):
     """Exponent tables of s_nu over the letters, for every shape nu of size w
-    inside `bound`, from one DP over the letters.
+    inside `bound` with at most len(letters) rows, from one DP over the
+    letters.
+
+    `slots` is the window of every table, or a list of one window per letter:
+    the window of the tables while that letter is placed.  Where the window
+    changes, every table is restricted to the next one, which must lie inside
+    it with the same codes.  `start` is (degree, table) of the empty shape,
+    and the constant 1 when left out.
 
     A shape is kept only while the letters left can still add the horizontal
-    strips that complete it to size w inside `bound`.  Each letter updates
-    the shapes in place, largest first: every source of a shape is strictly
-    smaller, so it still holds its value from before the letter.
+    strips that complete it to size w inside `bound`, and while its table is
+    not all zero; a dropped shape of size w gets a zero table.  Each letter
+    updates the shapes in place, largest first: every source of a shape is
+    strictly smaller, so it still holds its value from before the letter.
+    The sources of one strip size share a shift map, so their moved entries
+    are summed and added once.  The shapes come out in the order the DP
+    first reaches them: by rows, then in the order of `_shapes`.
     """
+    windows = slots if isinstance(slots, list) else [slots] * len(letters)
+    offset, first = (0, np.ones(1, dtype=np.int64)) if start is None else start
     deg = int(letters[0].sum())
     order = _shapes(bound, w)
-    sources = {nu: [(mu, sum(mu)) for mu in _strip_sources(nu)] for nu in order}
+    sources = {}
+    for nu in order:
+        by_size = sources[nu] = {}
+        for mu in _strip_sources(nu):
+            by_size.setdefault(sum(mu), []).append(mu)
     # fewest letters (horizontal strips) that complete each shape
     need = {nu: 0 if sum(nu) == w else len(letters) + 1 for nu in order}
     for nu in order:
-        for mu, _ in sources[nu]:
-            need[mu] = min(need[mu], need[nu] + 1)
-    dtype = _count_dtype(len(letters), w)
-    state = {(): np.ones(1, dtype=dtype)}
+        for by_size in sources[nu].values():
+            for mu in by_size:
+                need[mu] = min(need[mu], need[nu] + 1)
+    dtype = _count_dtype(len(letters), w, int(np.abs(first).sum()))
+    state = {(): first.astype(dtype)}
     for i, letter in enumerate(letters):
+        window = windows[i]
         rem = len(letters) - 1 - i
         maps = {}
         for nu in order:
-            if need[nu] > rem:
+            # a strip adds at most one row to a shape of at most i rows
+            if need[nu] > rem or len(nu) > i + 1:
                 continue
             size = sum(nu)
             tgt = state.get(nu)
-            for mu, msize in sources[nu]:
-                arr = state.get(mu)
-                if arr is None:
+            for msize, mus in sources[nu].items():
+                arrs = [state[mu] for mu in mus if mu in state]
+                if not arrs:
                     continue
                 key = (msize, size - msize)
                 m = maps.get(key)
                 if m is None:
-                    m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
-                if tgt is None:
-                    _, codes = slots.table(size * deg)
-                    tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
+                    v = letter * (size - msize)
+                    m = maps[key] = window.shift(offset + msize * deg, v)
                 src, dst = m
-                tgt[dst] += arr[src]
+                if not len(src):
+                    continue
+                if tgt is None:
+                    _, codes = window.table(offset + size * deg)
+                    tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
+                moved = arrs[0][src]
+                for arr in arrs[1:]:
+                    moved += arr[src]
+                tgt[dst] += moved
         state = {mu: arr for mu, arr in state.items() if need[mu] <= rem}
-    return {nu: arr for nu, arr in state.items() if sum(nu) == w}
+        if rem and windows[i + 1] is not window:
+            state = _restrict(state, window, windows[i + 1], offset, deg)
+        state = {mu: arr for mu, arr in state.items() if arr.any()}
+    _, codes = windows[-1].table(offset + w * deg)
+    full = [nu for nu in order if sum(nu) == w and len(nu) <= len(letters)]
+    return {
+        nu: state[nu] if nu in state else np.zeros(len(codes), dtype=dtype)
+        for nu in sorted(full, key=len)
+    }
 
 
-def _alternation(slots, mu):
-    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
-    sum(signs * arr[idx]).
+def _restrict(state, old, new, offset, deg):
+    """The tables of `state` restricted from the window `old` to the window
+    `new` inside it: one `searchsorted` on codes per degree."""
+    picks = {}
+    out = {}
+    for mu, arr in state.items():
+        d = offset + sum(mu) * deg
+        if d not in picks:
+            picks[d] = np.searchsorted(old.table(d)[1], new.table(d)[1])
+        out[mu] = arr[picks[d]]
+    return out
 
-    Only permutations p with p(i) >= i - mu_i keep the exponent
-    mu_i - i + p(i) of mu + rho - p.rho non-negative.  Those allowed sets
-    shrink as i grows, so rows are filled from the last one.  Exponent
-    vectors outside the window of the slots are left out: the window is
-    chosen so that their coefficients are zero.
+
+def _weyl_terms(mu):
+    """(betas, signs): the exponent vectors mu + rho - p.rho, rho = (N-1, ..., 0),
+    and sgn p, for the permutations p of range(N), N = len(mu), that leave
+    every entry non-negative.
+
+    Only permutations with p(i) >= i - mu_i keep the entry mu_i - i + p(i)
+    non-negative.  Those allowed sets shrink as i grows, so rows are filled
+    from the last one.
     """
-    N = slots.N
-    mu = tuple(mu) + (0,) * (N - len(mu))
+    N = len(mu)
     perms = np.zeros((1, 0), dtype=np.int64)
     signs = np.ones(1, dtype=np.int64)
     for i in range(N - 1, -1, -1):
@@ -256,7 +330,18 @@ def _alternation(slots, mu):
         inversions = (perms[rows] < vals[:, None]).sum(axis=1)
         signs = signs[rows] * (1 - 2 * (inversions % 2))
         perms = np.column_stack([vals, perms[rows]])
-    betas = np.array(mu) - np.arange(N) + perms
+    return np.array(mu) - np.arange(N) + perms, signs
+
+
+def _alternation(slots, mu):
+    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
+    sum(signs * arr[idx]).
+
+    Exponent vectors outside the window of the slots are left out: the
+    window is chosen so that their coefficients are zero.
+    """
+    mu = tuple(mu) + (0,) * (slots.N - len(mu))
+    betas, signs = _weyl_terms(mu)
     ok = slots.inside(betas, sum(mu))
     idx = np.searchsorted(slots.table(sum(mu))[1], betas[ok] @ slots.weights)
     return idx, signs[ok]
@@ -301,17 +386,18 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
 
 def _det_multiplicities(n, w, bound, budget):
     """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for the shapes lam
-    of size w inside `bound`, dim V = N = 2n+1, read by one alternation from
-    one DP pass over the window of `_det_slots`; (None, {}) unless N divides n*w."""
+    of size w inside `bound`, dim V = N = 2n+1, each read off the one slot
+    beta of its table from one DP pass over the windows of `_det_slots`;
+    (None, {}) unless N divides n*w."""
     N = 2 * n + 1
-    if (n * w) % N:
+    k, r = divmod(n * w, N)
+    # a bad budget is refused even where no pass runs
+    _check_budget(0 if r else n * w, N, budget)
+    if r:
         return None, {}
-    k = n * w // N
-    _check_budget(n * w, N, budget)
-    slots = _det_slots(n, w)
-    tables = _tableau_tables(_wedge_letters(n, N), slots, bound, w)
-    alternation = _alternation(slots, (k,) * N)
-    return k, {lam: _coefficient(arr, alternation) for lam, arr in tables.items()}
+    windows, start = _det_slots(n, w)
+    tables = _tableau_tables(_wedge_letters(n, N), windows, bound, w, start)
+    return k, {lam: int(arr[0]) for lam, arr in tables.items()}
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):

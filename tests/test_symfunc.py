@@ -1,6 +1,7 @@
 """Plethysm s_lambda[e_n], determinant multiplicities, witness search."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import permutations, product
 from math import comb, factorial
@@ -14,7 +15,6 @@ from cypairs import symfunc
 from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
-    _alternation,
     _count_dtype,
     _det_slots,
     _Slots,
@@ -374,6 +374,19 @@ def test_count_dtype_switches_at_two_to_the_63():
     # the witness (10^15) and plethysm (35^5, 10^10) passes stay on int64
     for M, w in ((10, 15), (35, 5), (10, 10)):
         assert _count_dtype(M, w) is np.int64
+    # a signed start of 5! terms scales every bound: the degree-15 pass fits,
+    # degree 17 (10^17 < 2^63 < 120 * 10^17) does not
+    assert _count_dtype(10, 15, 120) is np.int64
+    assert _count_dtype(10, 17) is np.int64 and _count_dtype(10, 17, 120) is object
+    # the determinant pass at n = 1, w = 39 starts from 3! signed terms, and
+    # 3^39 < 2^63 < 6 * 3^39, so it runs on Python integers
+    windows, start = _det_slots(1, 39)
+    assert np.abs(start[1]).sum() == 6
+    tables = _tableau_tables(_wedge_letters(1, 3), windows, (39,) * 3, 39, start)
+    assert {arr.dtype for arr in tables.values()} == {np.dtype(object)}
+    assert {lam: arr.tolist() for lam, arr in tables.items() if arr.any()} == {
+        (13, 13, 13): [1]
+    }
     # two letters of e_1 in 2 variables and 63 boxes run on Python integers
     arr = _tableau_tables(_wedge_letters(1, 2), _Slots(2, 63), (40, 23), 63)[(40, 23)]
     assert arr.dtype == object
@@ -385,7 +398,7 @@ def test_object_counts_match_int64(monkeypatch):
     w = 6
     want = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
     expansion = plethysm_wedge((2, 2, 1, 1), 2)
-    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w: object)
+    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w, terms=1: object)
     got = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
     assert set(got) == set(want)
     for lam, arr in got.items():
@@ -407,8 +420,17 @@ def test_determinant_multiplicities_sum_to_kostka():
         assert total == kostka_number((5,) * k, (2,) * d)
 
 
-# (n, w) -> K_{((2n+1)^k), (n^w)}, the coefficient of s_(k^N) in e_n^w
-WINDOW_CASES = {(2, 5): 6, (2, 10): 3396, (2, 15): 9475466, (3, 7): 225}
+# (n, w) -> K_{((2n+1)^k), (n^w)}, the coefficient of s_(k^N) in e_n^w; at
+# n = 1 each variable finishes right after its only letter
+WINDOW_CASES = {
+    (1, 3): 1,
+    (1, 6): 5,
+    (1, 9): 42,
+    (2, 5): 6,
+    (2, 10): 3396,
+    (2, 15): 9475466,
+    (3, 7): 225,
+}
 
 
 @pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
@@ -420,7 +442,9 @@ def test_windowed_det_coefficients_match_uniform_cap(n, w):
     N = 2 * n + 1
     got = symfunc._det_multiplicities(n, w, (w,) * comb(N, n), n * w)[1]
     assert got == reference_det_coefficients(n, w)
-    assert set(got) == set(partitions_of(w, max_rows=comb(N, n)))
+    # every shape, in the order the DP first reaches it: by rows, then
+    # graded lex
+    assert list(got) == sorted(partitions_of(w, max_rows=comb(N, n)), key=len)
     if w <= 10:  # the single-shape lookup reads the same window
         k = n * w // N
         assert {lam: determinant_multiplicity(lam, n, n * w) for lam in got} == {
@@ -428,18 +452,48 @@ def test_windowed_det_coefficients_match_uniform_cap(n, w):
         }
     total = sum(standard_tableaux_count(lam) * m for lam, m in got.items())
     assert total == WINDOW_CASES[n, w] == kostka_number((N,) * (n * w // N), (n,) * w)
+    if n == 1:  # S^lam(V) holds det^k exactly when lam = (k^3), once
+        assert {lam: m for lam, m in got.items() if m} == {(w // 3,) * 3: 1}
 
 
 @pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
 def test_det_lookup_reads_every_admissible_beta(n, w):
-    # the window must keep every x^beta of the alternation with entries <= w,
-    # each once and with its sign
-    slots = _det_slots(n, w)
-    idx, signs = _alternation(slots, (n * w // (2 * n + 1),) * (2 * n + 1))
-    exps, _ = slots.table(n * w)
-    want = det_lookup_betas(n, w)
-    assert len(idx) == len(want)
-    assert dict(zip(map(tuple, exps[idx].tolist()), signs.tolist())) == want
+    # the DP starts from a_rho: its table holds x^(p.rho) with sign sgn(p) for
+    # every p with p.rho <= beta = (k^N) + rho, less those below beta - w (an
+    # entry gains at most w), each once; these are exactly beta minus the
+    # x^t the alternation of s_(k^N) reads, with the same signs; and at size
+    # w the window holds beta alone, the one slot the lookup reads
+    N = 2 * n + 1
+    beta = [n * w // N + N - 1 - i for i in range(N)]
+    windows, (offset, start) = _det_slots(n, w)
+    assert offset == N * (N - 1) // 2
+    exps, _ = windows[0].table(offset)
+    want = {}
+    for p in permutations(range(N)):
+        e = tuple(N - 1 - p[i] for i in range(N))
+        if all(b - w <= x <= b for x, b in zip(e, beta)):
+            want[e] = permutation_sign(p)
+    got = {tuple(e): c for e, c in zip(exps.tolist(), start.tolist()) if c}
+    assert got == want
+    assert want == {
+        tuple(b - x for b, x in zip(beta, t)): sign
+        for t, sign in det_lookup_betas(n, w).items()
+    }
+    assert len(start) == len(exps) and set(start.tolist()) <= {-1, 0, 1}
+    final, _ = windows[-1].table(offset + n * w)
+    assert final.tolist() == [beta]
+
+
+def test_degree_twenty_kostka_sum_is_fast():
+    # budget: 10 seconds; one pass reads all 530 shapes of size 20 at n = 2,
+    # and (wedge^2 V)^{tensor 20} gives the Kostka sum K_((5^8),(2^20))
+    t0 = time.perf_counter()
+    k, got = symfunc._det_multiplicities(2, 20, (20,) * 10, 40)
+    assert time.perf_counter() - t0 < 10.0
+    assert k == 8
+    assert set(got) == set(partitions_of(20, max_rows=10))
+    total = sum(standard_tableaux_count(lam) * m for lam, m in got.items())
+    assert total == kostka_number((5,) * 8, (2,) * 20) == 61_023_924_234
 
 
 def test_windowed_slots_match_brute_force():
@@ -523,6 +577,11 @@ def test_budget_enforcement():
         plethysm_wedge((1,), 2, budget=-1)
     with pytest.raises(ValueError):
         find_witness(2, 5, budget=-1)
+    # also where no degree up to the bound runs a pass
+    with pytest.raises(ValueError):
+        find_witness(2, 4, budget=-1)
+    with pytest.raises(ValueError):
+        determinant_multiplicity((1,), 2, budget=-1)
 
 
 def test_dimension_gap_values():
