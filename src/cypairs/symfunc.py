@@ -11,7 +11,7 @@ array over a slot table: the exponent vectors of one degree, in lex order,
 with strictly increasing integer codes.  The counts are int64 when no count
 can reach 2^63, and Python integers otherwise.  Multiplying by a letter shifts
 codes, and `searchsorted` finds the target slots.  One pass yields the
-tables of every shape of a degree, which is what the witness search scans.
+tables of every shape of a degree.
 
 The coefficient of s_mu is read off a table by Weyl alternation (Macdonald,
 Symmetric Functions and Hall Polynomials, I.3): the sum over w in S_N of
@@ -22,22 +22,21 @@ The full expansion reads every dominant exponent this way, off tables that
 keep every exponent vector with entries up to |lambda|.
 
 The determinant power det^k = S^{(k^N)}V can appear in S^lambda(wedge^n V) only
-for k = n*|lambda|/N; its multiplicity drives the witness search.  The
-alternation is linear, so that multiplicity is one coefficient: the one of
-x^beta, beta = (k^N) + rho, in a_rho * s_lambda[e_n], where a_rho is the sum
-over w in S_N of sgn(w) x^(w rho).  So the determinant DP starts from a_rho in
-place of 1 and reads the single slot beta.  Exponents never decrease along the
-DP, and each box still to place adds at most 1 to an entry, and only to the
-entries of the variables that some letter still to place contains (the live
-ones).  So a table with r boxes left keeps only beta - r*live <= e <= beta:
-every other vector never becomes beta, and a finished variable's entry is
-pinned to its entry of beta.
+for k = n*|lambda|/N; its multiplicity drives the witness search.  It is read
+by the characteristic map (Macdonald I.7), for every lambda of one degree at
+once: s_lambda is the sum over rho of chi^lambda(rho) p_rho / z_rho, so the
+multiplicity is the sum over rho of chi^lambda(rho) <p_rho[e_n], s_(k^N)> / z_rho.
+Every character comes from the Murnaghan-Nakayama rule: border strips moved on
+beta-sets held as bitmasks.  s_(k^N) has N rows, so its coefficient is the same
+in N variables as in infinitely many.
 """
 
 from __future__ import annotations
 
+from collections import Counter
+from functools import lru_cache
 from itertools import combinations, product
-from math import comb, prod
+from math import comb, factorial, prod
 
 import numpy as np
 
@@ -65,27 +64,22 @@ def _check_budget(degree, N, budget):
 
 
 class _Slots:
-    """Exponent vectors of length N inside a window, one slot table per
-    degree, built on first use.
+    """Exponent vectors of length N with every entry at most `cap`, one slot
+    table per degree, built on first use.
 
-    The window of degree d is floor(d) <= e <= cap entrywise.  `cap` is one
-    bound for every entry or one bound per entry; `floor` maps a degree to
-    one lower bound per entry, and is 0 when left out.  A vector's code is
-    its value in the mixed radix cap_i + 1, so the codes of a table increase
-    with lex order and a shift by x^v adds the code of v.  Codes are int64
-    while the product of the radices fits, and Python integers beyond that.
-    A DP over the slots loses every vector that leaves the window, so the
-    window must contain every vector from which one a lookup reads is still
-    reachable (`_det_slots` derives one).
+    A vector's code is its value in base cap + 1, so the codes of a table
+    increase with lex order and a shift by x^v adds the code of v.  Codes are
+    int64 while (cap + 1)^N fits, and Python integers beyond that.  A DP over
+    the slots loses every vector that leaves the cap, so the cap must hold
+    every entry of every vector that a lookup reads.
     """
 
-    def __init__(self, N, cap, floor=None):
+    def __init__(self, N, cap):
         self.N = N
-        self.cap = np.broadcast_to(np.asarray(cap, dtype=np.int64), (N,))
-        self.floor = floor
-        radix = [int(c) + 1 for c in self.cap]
-        dtype = np.int64 if prod(radix) < 2**63 else object
-        self.weights = np.array([prod(radix[i + 1 :]) for i in range(N)], dtype=dtype)
+        self.cap = cap
+        base = cap + 1
+        dtype = np.int64 if base**N < 2**63 else object
+        self.weights = np.array([base ** (N - 1 - i) for i in range(N)], dtype=dtype)
         self._tables = {}
 
     def table(self, d):
@@ -97,85 +91,31 @@ class _Slots:
             got = self._tables[d] = (exps, exps @ self.weights)
         return got
 
-    def inside(self, exps, d, v=0):
-        """Mask of the rows e of `exps` with e + v in the window of degree d.
-        Comparing e with cap - v needs no (rows, N) sum."""
-        ok = exps <= self.cap - v
-        if self.floor is not None:
-            ok &= exps >= self.floor(d) - v
-        return ok.all(axis=1)
-
     def _vectors(self, d):
-        N, hi = self.N, self.cap
-        lo = np.zeros(N, dtype=np.int64) if self.floor is None else self.floor(d)
+        N, cap = self.N, self.cap
         exps = np.zeros((1, 0), dtype=np.int64)
         left = np.array([d], dtype=np.int64)
         for i in range(N - 1):
             # the entry at i leaves a remainder the later entries can hold
-            first = np.maximum(left - hi[i + 1 :].sum(), lo[i])
-            last = np.minimum(left - lo[i + 1 :].sum(), hi[i])
-            counts = np.maximum(last - first + 1, 0)
+            first = np.maximum(left - (N - 1 - i) * cap, 0)
+            counts = np.maximum(np.minimum(left, cap) - first + 1, 0)
             rows = np.repeat(np.arange(len(left)), counts)
             starts = np.cumsum(counts) - counts
             v = first[rows] + np.arange(len(rows)) - starts[rows]
             exps = np.column_stack([exps[rows], v])
             left = left[rows] - v
-        keep = (lo[-1] <= left) & (left <= hi[-1])
-        return np.column_stack([exps, left])[keep]
+        return np.column_stack([exps, left])[left <= cap]
 
     def shift(self, d, v):
         """(src, dst) for multiplying a degree-d table by x^v: slot src[j]
-        moves to slot dst[j] of degree d+|v|; vectors pushed out of that
-        degree's window are left out.  The shift is injective, so dst has no
-        repeats."""
+        moves to slot dst[j] of degree d+|v|; vectors pushed over the cap are
+        left out.  The shift is injective, so dst has no repeats."""
         exps, codes = self.table(d)
-        d2 = d + int(v.sum())
-        src = np.nonzero(self.inside(exps, d2, v))[0]
-        _, tgt = self.table(d2)
+        # comparing e with cap - v needs no (rows, N) sum
+        src = np.nonzero((exps <= self.cap - v).all(axis=1))[0]
+        _, tgt = self.table(d + int(v.sum()))
         dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
         return src, dst
-
-
-def _det_slots(n, w):
-    """(windows, start) of the det^k lookup on tables of shapes of size w, for
-    N = 2n+1 and k = n*w/N.
-
-    The DP starts from start = (|rho|, a_rho): the degree and the table of
-    a_rho, rho = (N-1, ..., 1, 0), and the lookup reads the single slot
-    beta = (k^N) + rho.  windows[i] is the window of the tables while letter
-    i is placed.  A table of size s has r = w - s boxes left, exponents never
-    decrease, and each box adds at most 1 to an entry, and only to the entries
-    of the variables that letter i or a later one contains (live).  So a vector
-    outside beta - r*live <= e <= beta never reaches beta, and the window drops
-    it; a finished variable is pinned to its entry of beta.  The letters of one
-    live set share one window, and every window has the cap beta, so their
-    codes agree.  At size w every window holds beta alone.
-
-    The terms of a_rho are x^(p.rho) with sign sgn(p).  The ones with
-    p.rho <= beta are beta minus the terms of the s_(k^N) alternation, with
-    the same signs.
-    """
-    N = 2 * n + 1
-    k = n * w // N
-    rho = np.arange(N - 1, -1, -1)
-    beta, offset = k + rho, int(rho.sum())
-    letters = _wedge_letters(n, N)
-    live = np.maximum.accumulate(letters[::-1])[::-1]
-    windows = []
-    for i, row in enumerate(live):
-        if not i or (row != live[i - 1]).any():
-            window = _Slots(
-                N, beta, lambda d, row=row: np.maximum(beta - (w - (d - offset) // n) * row, 0)
-            )
-        windows.append(window)
-    first = windows[0]
-    terms, signs = _weyl_terms((k,) * N)
-    exps = beta - terms
-    ok = first.inside(exps, offset)
-    _, codes = first.table(offset)
-    start = np.zeros(len(codes), dtype=np.int64)
-    start[np.searchsorted(codes, exps[ok] @ first.weights)] = signs[ok]
-    return windows, (offset, start)
 
 
 def _wedge_letters(n, N):
@@ -205,30 +145,20 @@ def _strip_sources(nu):
     return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
 
 
-def _count_dtype(M, w, terms=1):
-    """dtype of the DP counts for shapes of size at most w over M letters,
-    from a start table whose entries have absolute values summing to `terms`.
+def _count_dtype(M, w):
+    """dtype of the DP counts for shapes of size at most w over M letters.
 
-    From one start vector, a count of shape nu is a number of semistandard
-    tableaux of shape nu with one content, at most dim S^nu(C^M) <= M^|nu|.
-    Every sum the DP forms, signed or not, runs over distinct pairs of a start
-    vector and a tableau, so it is at most terms * M^|nu| in absolute value.
-    So int64 holds every count while terms * M^w < 2^63, and Python integers
-    are used beyond that.
+    A count of shape nu is a number of semistandard tableaux of shape nu with
+    one content, at most dim S^nu(C^M) <= M^|nu|.  So int64 holds every count
+    while M^w < 2^63, and Python integers are used beyond that.
     """
-    return np.int64 if terms * M**w < 2**63 else object
+    return np.int64 if M**w < 2**63 else object
 
 
-def _tableau_tables(letters, slots, bound, w, start=None):
+def _tableau_tables(letters, slots, bound, w):
     """Exponent tables of s_nu over the letters, for every shape nu of size w
     inside `bound` with at most len(letters) rows, from one DP over the
-    letters.
-
-    `slots` is the window of every table, or a list of one window per letter:
-    the window of the tables while that letter is placed.  Where the window
-    changes, every table is restricted to the next one, which must lie inside
-    it with the same codes.  `start` is (degree, table) of the empty shape,
-    and the constant 1 when left out.
+    letters on the slot tables `slots`.
 
     A shape is kept only while the letters left can still add the horizontal
     strips that complete it to size w inside `bound`, and while its table is
@@ -236,11 +166,8 @@ def _tableau_tables(letters, slots, bound, w, start=None):
     updates the shapes in place, largest first: every source of a shape is
     strictly smaller, so it still holds its value from before the letter.
     The sources of one strip size share a shift map, so their moved entries
-    are summed and added once.  The shapes come out in the order the DP
-    first reaches them: by rows, then in the order of `_shapes`.
+    are summed and added once.
     """
-    windows = slots if isinstance(slots, list) else [slots] * len(letters)
-    offset, first = (0, np.ones(1, dtype=np.int64)) if start is None else start
     deg = int(letters[0].sum())
     order = _shapes(bound, w)
     sources = {}
@@ -254,10 +181,9 @@ def _tableau_tables(letters, slots, bound, w, start=None):
         for by_size in sources[nu].values():
             for mu in by_size:
                 need[mu] = min(need[mu], need[nu] + 1)
-    dtype = _count_dtype(len(letters), w, int(np.abs(first).sum()))
-    state = {(): first.astype(dtype)}
+    dtype = _count_dtype(len(letters), w)
+    state = {(): np.ones(1, dtype=dtype)}
     for i, letter in enumerate(letters):
-        window = windows[i]
         rem = len(letters) - 1 - i
         maps = {}
         for nu in order:
@@ -273,53 +199,39 @@ def _tableau_tables(letters, slots, bound, w, start=None):
                 key = (msize, size - msize)
                 m = maps.get(key)
                 if m is None:
-                    v = letter * (size - msize)
-                    m = maps[key] = window.shift(offset + msize * deg, v)
+                    m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
                 src, dst = m
                 if not len(src):
                     continue
                 if tgt is None:
-                    _, codes = window.table(offset + size * deg)
+                    _, codes = slots.table(size * deg)
                     tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
                 moved = arrs[0][src]
                 for arr in arrs[1:]:
                     moved += arr[src]
                 tgt[dst] += moved
-        state = {mu: arr for mu, arr in state.items() if need[mu] <= rem}
-        if rem and windows[i + 1] is not window:
-            state = _restrict(state, window, windows[i + 1], offset, deg)
-        state = {mu: arr for mu, arr in state.items() if arr.any()}
-    _, codes = windows[-1].table(offset + w * deg)
-    full = [nu for nu in order if sum(nu) == w and len(nu) <= len(letters)]
+        state = {mu: arr for mu, arr in state.items() if need[mu] <= rem and arr.any()}
+    _, codes = slots.table(w * deg)
     return {
         nu: state[nu] if nu in state else np.zeros(len(codes), dtype=dtype)
-        for nu in sorted(full, key=len)
+        for nu in order
+        if sum(nu) == w and len(nu) <= len(letters)
     }
 
 
-def _restrict(state, old, new, offset, deg):
-    """The tables of `state` restricted from the window `old` to the window
-    `new` inside it: one `searchsorted` on codes per degree."""
-    picks = {}
-    out = {}
-    for mu, arr in state.items():
-        d = offset + sum(mu) * deg
-        if d not in picks:
-            picks[d] = np.searchsorted(old.table(d)[1], new.table(d)[1])
-        out[mu] = arr[picks[d]]
-    return out
+def _alternation(slots, mu):
+    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
+    sum(signs * arr[idx]).
 
-
-def _weyl_terms(mu):
-    """(betas, signs): the exponent vectors mu + rho - p.rho, rho = (N-1, ..., 0),
-    and sgn p, for the permutations p of range(N), N = len(mu), that leave
-    every entry non-negative.
-
+    The terms are x^(mu + rho - p.rho), rho = (N-1, ..., 0), with sign sgn p,
+    over the permutations p of range(N) that leave every entry non-negative.
     Only permutations with p(i) >= i - mu_i keep the entry mu_i - i + p(i)
     non-negative.  Those allowed sets shrink as i grows, so rows are filled
-    from the last one.
+    from the last one.  Exponent vectors over the cap of the slots are left
+    out: the cap is chosen so that their coefficients are zero.
     """
-    N = len(mu)
+    N = slots.N
+    mu = tuple(mu) + (0,) * (N - len(mu))
     perms = np.zeros((1, 0), dtype=np.int64)
     signs = np.ones(1, dtype=np.int64)
     for i in range(N - 1, -1, -1):
@@ -330,26 +242,10 @@ def _weyl_terms(mu):
         inversions = (perms[rows] < vals[:, None]).sum(axis=1)
         signs = signs[rows] * (1 - 2 * (inversions % 2))
         perms = np.column_stack([vals, perms[rows]])
-    return np.array(mu) - np.arange(N) + perms, signs
-
-
-def _alternation(slots, mu):
-    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
-    sum(signs * arr[idx]).
-
-    Exponent vectors outside the window of the slots are left out: the
-    window is chosen so that their coefficients are zero.
-    """
-    mu = tuple(mu) + (0,) * (slots.N - len(mu))
-    betas, signs = _weyl_terms(mu)
-    ok = slots.inside(betas, sum(mu))
+    betas = np.array(mu) - np.arange(N) + perms
+    ok = (betas <= slots.cap).all(axis=1)
     idx = np.searchsorted(slots.table(sum(mu))[1], betas[ok] @ slots.weights)
     return idx, signs[ok]
-
-
-def _coefficient(arr, alternation):
-    idx, signs = alternation
-    return sum((arr[idx] * signs).tolist())
 
 
 def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
@@ -376,7 +272,8 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
     dominant = (arr != 0) & (exps[:, :-1] >= exps[:, 1:]).all(axis=1)
     out = {}
     for e in exps[dominant].tolist():
-        c = _coefficient(arr, _alternation(slots, e))
+        idx, signs = _alternation(slots, e)
+        c = sum((arr[idx] * signs).tolist())
         if c < 0:
             raise AssertionError(f"negative Schur coefficient {c} at {e}")
         if c:
@@ -384,33 +281,123 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
     return out
 
 
-def _det_multiplicities(n, w, bound, budget):
-    """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for the shapes lam
-    of size w inside `bound`, dim V = N = 2n+1, each read off the one slot
-    beta of its table from one DP pass over the windows of `_det_slots`;
-    (None, {}) unless N divides n*w."""
+def _border_strips(beads, m, grow):
+    """(beads', sign) for every border strip of m boxes added to (grow) or
+    removed from the shape whose beta-set is the bitmask `beads`.
+
+    A shape with at most L rows has the beta-set {lam_i + L - i}.  A strip
+    moves one bead m places to an empty position, with sign -1 to the number
+    of beads it jumps: the Murnaghan-Nakayama rule (Macdonald I.3 and I.7).
+    Strips keep the number of beads, so adding them never gives a shape with
+    more than L rows.
+    """
+    out = []
+    rest = beads
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        p = bit.bit_length() - 1
+        q = p + m if grow else p - m
+        if q >= 0 and not beads >> q & 1:
+            jumped = beads >> (min(p, q) + 1) & (1 << (m - 1)) - 1
+            out.append((beads ^ bit ^ 1 << q, -1 if jumped.bit_count() & 1 else 1))
+    return out
+
+
+def _z(parts):
+    """z_rho: the order of the centralizer of a permutation of cycle type rho."""
+    return prod(i**m * factorial(m) for i, m in Counter(parts).items())
+
+
+def _det_multiplicities(n, w, budget):
+    """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for every lam of
+    size w with at most binomial(N, n) rows, dim V = N = 2n+1; (None, {})
+    unless N divides n*w.
+
+    By the characteristic map, mult(lam) is the sum over rho |- w of
+    chi^lam(rho) psi(rho) / z_rho, where psi(rho) = <p_rho[e_n], s_(k^N)> and
+    p_m[e_n] = sum over sigma |- n of eps_sigma p_(m sigma) / z_sigma.  One walk
+    over the rho, parts non-increasing, shares their prefixes.  Going down a
+    prefix pi, it removes strips of sizes m*sigma from (k^N), which gives
+    n!^len(pi) p_pi[e_n]^perp s_(k^N); a prefix with nothing left is cut, since
+    psi = 0 on every rho it starts.  Coming back up, it adds the parts after pi
+    as strips to the empty shape, which gives the sum over the rho that start
+    with pi of their weight times p_(rho minus pi), in the Schur basis.  That
+    side keeps min(w, binomial(N, n)) beads, which drops every shape with more
+    rows: a strip never removes a row, and s_lam[e_n] = 0 in N variables once
+    lam has more rows than e_n has monomials.  Every weight is scaled by
+    w! n!^w, so the sums are exact integers, and the division at the end must
+    leave no remainder.
+    """
     N = 2 * n + 1
     k, r = divmod(n * w, N)
-    # a bad budget is refused even where no pass runs
+    # a bad budget is refused even where no walk runs
     _check_budget(0 if r else n * w, N, budget)
     if r:
         return None, {}
-    windows, start = _det_slots(n, w)
-    tables = _tableau_tables(_wedge_letters(n, N), windows, bound, w, start)
-    return k, {lam: int(arr[0]) for lam, arr in tables.items()}
+    rows = min(w, comb(N, n))
+    unit = factorial(n)
+    # n! p_m[e_n] = sum over sigma of eps_sigma (n! / z_sigma) p_(m sigma)
+    wedge = [((-1) ** (n - len(s)) * unit // _z(s), s) for s in partitions_of(n)]
+    strips = lru_cache(maxsize=None)(_border_strips)
+
+    def spread(out, terms, images, *args):
+        # adds to out the image of terms under the linear map that sends each
+        # shape b to images(b, *args)
+        for b, x in terms.items():
+            for b2, y in images(b, *args):
+                out[b2] = out.get(b2, 0) + x * y
+        return out
+
+    @lru_cache(maxsize=None)
+    def adjoint(beads, m):
+        # n! p_m[e_n]^perp of one shape
+        got = Counter()
+        for c, sigma in wedge:
+            terms = {beads: c}
+            for part in sigma:
+                terms = spread({}, terms, strips, m * part, False)
+            got.update(terms)
+        return [(b, x) for b, x in got.items() if x]
+
+    def walk(prefix, left, down):
+        if not left:
+            # down holds n!^len(prefix) psi(prefix), on the empty shape
+            (psi,) = down.values()
+            weight = psi * unit ** (w - len(prefix)) * (factorial(w) // _z(prefix))
+            return {(1 << rows) - 1: weight}
+        out = {}
+        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
+            down2 = {b: x for b, x in spread({}, down, adjoint, m).items() if x}
+            if down2:
+                spread(out, walk(prefix + (m,), left - m, down2), strips, m, True)
+        return out
+
+    total = walk((), w, {(1 << N) - 1 << k: 1})
+    denominator = factorial(w) * unit**w
+    out = {}
+    for lam in partitions_of(w, max_rows=rows):
+        padded = lam + (0,) * (rows - len(lam))
+        beads = sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
+        mult, rest = divmod(total.get(beads, 0), denominator)
+        if rest or mult < 0:
+            raise AssertionError(f"multiplicity {mult} + {rest}/{denominator} at {lam}")
+        out[lam] = mult
+    return k, out
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):
     """(k, multiplicity) of the determinant power det^k inside S^lam(wedge^n V).
 
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
-    multiplicity is 0 and k is None.  A lam with more rows than e_n has
-    monomials has no table, and multiplicity 0.
+    multiplicity is 0 and k is None.  S^lam(wedge^n V) = 0, and the
+    multiplicity is 0, when lam has more rows than e_n has monomials.  Reads
+    lam off every multiplicity of its degree.
     """
     lam = check_partition(lam)
     if n < 1:
         raise ValueError("need n >= 1")
-    k, mults = _det_multiplicities(n, sum(lam), lam, budget)
+    k, mults = _det_multiplicities(n, sum(lam), budget)
     return k, mults.get(lam, 0)
 
 
@@ -419,13 +406,14 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
     s_lambda[e_n] contains a determinant power with multiplicity >= 2.
 
     Returns (lambda, k, multiplicity) or None when the bound is exhausted.
-    Budget errors propagate.  One DP pass per degree reads all its lambdas.
+    Budget errors propagate.  One characteristic-map walk per degree reads
+    all its lambdas.
     """
     if n < 2:
         raise ValueError("witness search needs n >= 2")
     M = comb(2 * n + 1, n)
     for w in range(1, degree_bound + 1):
-        k, mults = _det_multiplicities(n, w, (w,) * min(w, M), budget)
+        k, mults = _det_multiplicities(n, w, budget)
         if k is None:
             continue  # no determinant power can occur in this degree
         # graded lex is the order of partitions_of, not that of the dict

@@ -135,7 +135,7 @@ def test_first_witness_is_at_degree_fifteen():
 
 def test_first_witness_for_n_three_is_at_degree_seven():
     # budget: 5 seconds; the full expansion reads det^3 off the uniform-cap
-    # table, a second route to the windowed lookup of the search
+    # table, a second route to the characteristic map of the search
     start = time.perf_counter()
     assert find_witness(3, 7, budget=21) == ((4, 1, 1, 1), 3, 2)
     assert plethysm_wedge((4, 1, 1, 1), 3, budget=21)[(3,) * 7] == 2

@@ -4,7 +4,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import permutations, product
-from math import comb, factorial
+from math import comb, factorial, prod
 
 import numpy as np
 import pytest
@@ -15,8 +15,8 @@ from cypairs import symfunc
 from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
+    _border_strips,
     _count_dtype,
-    _det_slots,
     _Slots,
     _tableau_tables,
     _wedge_letters,
@@ -317,7 +317,8 @@ def test_alternation_matches_straightening():
 
 
 def test_shared_pass_matches_single_shape():
-    # the witness search reads every shape of a degree from one DP pass
+    # one DP pass yields every shape of a degree, as the determinant
+    # reference reads them
     for n, N, top in ((2, 5, 10), (3, 7, 4)):
         letters = _wedge_letters(n, N)
         M = len(letters)
@@ -374,19 +375,6 @@ def test_count_dtype_switches_at_two_to_the_63():
     # the witness (10^15) and plethysm (35^5, 10^10) passes stay on int64
     for M, w in ((10, 15), (35, 5), (10, 10)):
         assert _count_dtype(M, w) is np.int64
-    # a signed start of 5! terms scales every bound: the degree-15 pass fits,
-    # degree 17 (10^17 < 2^63 < 120 * 10^17) does not
-    assert _count_dtype(10, 15, 120) is np.int64
-    assert _count_dtype(10, 17) is np.int64 and _count_dtype(10, 17, 120) is object
-    # the determinant pass at n = 1, w = 39 starts from 3! signed terms, and
-    # 3^39 < 2^63 < 6 * 3^39, so it runs on Python integers
-    windows, start = _det_slots(1, 39)
-    assert np.abs(start[1]).sum() == 6
-    tables = _tableau_tables(_wedge_letters(1, 3), windows, (39,) * 3, 39, start)
-    assert {arr.dtype for arr in tables.values()} == {np.dtype(object)}
-    assert {lam: arr.tolist() for lam, arr in tables.items() if arr.any()} == {
-        (13, 13, 13): [1]
-    }
     # two letters of e_1 in 2 variables and 63 boxes run on Python integers
     arr = _tableau_tables(_wedge_letters(1, 2), _Slots(2, 63), (40, 23), 63)[(40, 23)]
     assert arr.dtype == object
@@ -398,7 +386,7 @@ def test_object_counts_match_int64(monkeypatch):
     w = 6
     want = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
     expansion = plethysm_wedge((2, 2, 1, 1), 2)
-    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w, terms=1: object)
+    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w: object)
     got = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
     assert set(got) == set(want)
     for lam, arr in got.items():
@@ -420,8 +408,7 @@ def test_determinant_multiplicities_sum_to_kostka():
         assert total == kostka_number((5,) * k, (2,) * d)
 
 
-# (n, w) -> K_{((2n+1)^k), (n^w)}, the coefficient of s_(k^N) in e_n^w; at
-# n = 1 each variable finishes right after its only letter
+# (n, w) -> K_{((2n+1)^k), (n^w)}, the coefficient of s_(k^N) in e_n^w
 WINDOW_CASES = {
     (1, 3): 1,
     (1, 6): 5,
@@ -435,17 +422,15 @@ WINDOW_CASES = {
 
 @pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
 def test_windowed_det_coefficients_match_uniform_cap(n, w):
-    # the window drops only vectors the lookup can never read, so every
-    # coefficient equals the one read off the uniform-cap tables; and
-    # (wedge^n V)^{tensor w} = sum of S^lam(wedge^n V)^{f^lam} gives the
-    # Kostka sum on the one-pass tables
+    # the characteristic map gives every coefficient read off the
+    # uniform-cap tableau DP; and (wedge^n V)^{tensor w} = sum of
+    # S^lam(wedge^n V)^{f^lam} gives the Kostka sum
     N = 2 * n + 1
-    got = symfunc._det_multiplicities(n, w, (w,) * comb(N, n), n * w)[1]
+    got = symfunc._det_multiplicities(n, w, n * w)[1]
     assert got == reference_det_coefficients(n, w)
-    # every shape, in the order the DP first reaches it: by rows, then
-    # graded lex
-    assert list(got) == sorted(partitions_of(w, max_rows=comb(N, n)), key=len)
-    if w <= 10:  # the single-shape lookup reads the same window
+    # every shape with at most as many rows as e_n has monomials
+    assert set(got) == set(partitions_of(w, max_rows=comb(N, n)))
+    if w <= 10:  # the single-shape lookup reads the same map
         k = n * w // N
         assert {lam: determinant_multiplicity(lam, n, n * w) for lam in got} == {
             lam: (k, m) for lam, m in got.items()
@@ -456,39 +441,64 @@ def test_windowed_det_coefficients_match_uniform_cap(n, w):
         assert {lam: m for lam, m in got.items() if m} == {(w // 3,) * 3: 1}
 
 
-@pytest.mark.parametrize("n, w", sorted(WINDOW_CASES))
-def test_det_lookup_reads_every_admissible_beta(n, w):
-    # the DP starts from a_rho: its table holds x^(p.rho) with sign sgn(p) for
-    # every p with p.rho <= beta = (k^N) + rho, less those below beta - w (an
-    # entry gains at most w), each once; these are exactly beta minus the
-    # x^t the alternation of s_(k^N) reads, with the same signs; and at size
-    # w the window holds beta alone, the one slot the lookup reads
-    N = 2 * n + 1
-    beta = [n * w // N + N - 1 - i for i in range(N)]
-    windows, (offset, start) = _det_slots(n, w)
-    assert offset == N * (N - 1) // 2
-    exps, _ = windows[0].table(offset)
-    want = {}
-    for p in permutations(range(N)):
-        e = tuple(N - 1 - p[i] for i in range(N))
-        if all(b - w <= x <= b for x, b in zip(e, beta)):
-            want[e] = permutation_sign(p)
-    got = {tuple(e): c for e, c in zip(exps.tolist(), start.tolist()) if c}
-    assert got == want
-    assert want == {
-        tuple(b - x for b, x in zip(beta, t)): sign
-        for t, sign in det_lookup_betas(n, w).items()
-    }
-    assert len(start) == len(exps) and set(start.tolist()) <= {-1, 0, 1}
-    final, _ = windows[-1].table(offset + n * w)
-    assert final.tolist() == [beta]
+def beta_set(lam, beads):
+    """The bitmask of {lam_i + beads - i}, lam padded with zeros."""
+    lam = tuple(lam) + (0,) * (beads - len(lam))
+    return sum(1 << (x + beads - 1 - i) for i, x in enumerate(lam))
+
+
+def centralizer_order(rho):
+    """z_rho = prod over part sizes i of i^(m_i) m_i!."""
+    return prod(i ** rho.count(i) * factorial(rho.count(i)) for i in set(rho))
+
+
+def strip_walk(terms, parts, grow):
+    """{beads: coefficient} after moving strips of the given sizes."""
+    for m in parts:
+        out = {}
+        for b, x in terms.items():
+            for b2, sign in _border_strips(b, m, grow):
+                out[b2] = out.get(b2, 0) + sign * x
+        terms = {b: x for b, x in out.items() if x}
+    return terms
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_border_strip_characters_agree_and_are_orthogonal(w):
+    # chi^lam(rho) by adding the strips of rho to the empty shape equals the
+    # one by removing them from lam down to it; the columns are orthogonal,
+    # sum over lam of chi^lam(rho) chi^lam(sigma) = z_rho [rho = sigma]; the
+    # column of 1^w is f^lam; and with fewer beads than rows, adding strips
+    # gives the same characters on every shape that still fits
+    shapes = list(partitions_of(w))
+    empty = (1 << w) - 1
+    table = {}
+    for rho in shapes:
+        up = strip_walk({empty: 1}, rho, True)
+        for lam in shapes:
+            down = strip_walk({beta_set(lam, w): 1}, rho, False)
+            table[lam, rho] = up.get(beta_set(lam, w), 0)
+            assert table[lam, rho] == down.get(empty, 0), (lam, rho)
+        for beads in range(w):
+            few = strip_walk({(1 << beads) - 1: 1}, rho, True)
+            assert few == {
+                beta_set(lam, beads): table[lam, rho]
+                for lam in shapes
+                if len(lam) <= beads and table[lam, rho]
+            }, (rho, beads)
+    for rho in shapes:
+        for sigma in shapes:
+            dot = sum(table[lam, rho] * table[lam, sigma] for lam in shapes)
+            assert dot == (centralizer_order(rho) if rho == sigma else 0), (rho, sigma)
+    for lam in shapes:
+        assert table[lam, (1,) * w] == standard_tableaux_count(lam)
 
 
 def test_degree_twenty_kostka_sum_is_fast():
-    # budget: 10 seconds; one pass reads all 530 shapes of size 20 at n = 2,
+    # budget: 10 seconds; one walk reads all 530 shapes of size 20 at n = 2,
     # and (wedge^2 V)^{tensor 20} gives the Kostka sum K_((5^8),(2^20))
     t0 = time.perf_counter()
-    k, got = symfunc._det_multiplicities(2, 20, (20,) * 10, 40)
+    k, got = symfunc._det_multiplicities(2, 20, 40)
     assert time.perf_counter() - t0 < 10.0
     assert k == 8
     assert set(got) == set(partitions_of(20, max_rows=10))
@@ -497,23 +507,20 @@ def test_degree_twenty_kostka_sum_is_fast():
 
 
 def test_windowed_slots_match_brute_force():
-    # per-entry caps and a per-degree floor: each table is every vector in
-    # the window in lex order with increasing codes, and a shift maps each
-    # vector whose image stays in the window to the slot of that image
+    # each table is every vector under the cap in lex order with increasing
+    # codes, and a shift maps each vector whose image stays under the cap to
+    # the slot of that image
     rng = random.Random(3)
     for _ in range(30):
         N = rng.randint(1, 5)
-        cap = [rng.randint(0, 4) for _ in range(N)]
-        base = [rng.randint(-3, 2) for _ in range(N)]
-        slots = _Slots(N, cap, lambda d: np.maximum(np.array(base) + d // 2, 0))
+        cap = rng.randint(0, 4)
+        slots = _Slots(N, cap)
         window = {}
-        for e in product(*(range(c + 1) for c in cap)):
-            d = sum(e)
-            if all(x >= max(b + d // 2, 0) for x, b in zip(e, base)):
-                window.setdefault(d, []).append(e)
-        for d in range(sum(cap) + 3):
+        for e in product(range(cap + 1), repeat=N):
+            window.setdefault(sum(e), []).append(e)
+        for d in range(N * cap + 3):
             exps, codes = slots.table(d)
-            assert list(map(tuple, exps.tolist())) == window.get(d, []), (cap, base, d)
+            assert list(map(tuple, exps.tolist())) == window.get(d, []), (N, cap, d)
             assert (np.diff(codes) > 0).all()
             v = np.array([rng.randint(0, 1) for _ in range(N)], dtype=np.int64)
             src, dst = slots.shift(d, v)
@@ -563,6 +570,25 @@ def test_witness_multiplicity_at_degree_fifteen():
     # and the full expansion use different exponent caps
     assert determinant_multiplicity((7, 4, 2, 1, 1), 2, budget=30) == (6, 2)
     assert plethysm_wedge((7, 4, 2, 1, 1), 2, budget=30)[(6,) * 5] == 2
+
+
+@pytest.mark.parametrize(
+    "n, degree, want, kostka, seconds",
+    [(4, 9, ((7, 2), 4, 5), 62_524, 2.0), (5, 11, ((11,), 5, 3), 145_895_784, 30.0)],
+    ids=["4-9", "5-11"],
+)
+def test_witness_for_n_four_and_five(n, degree, want, kostka, seconds):
+    # budget: 2 seconds at n = 4 and 30 seconds at n = 5; the first witness
+    # sits in the first degree that admits a determinant power, and
+    # (wedge^n V)^{tensor w} gives the Kostka sum K_((N^k),(n^w)) on it
+    N = 2 * n + 1
+    start = time.perf_counter()
+    assert find_witness(n, degree, budget=n * degree) == want
+    assert time.perf_counter() - start < seconds
+    k, got = symfunc._det_multiplicities(n, degree, n * degree)
+    assert k == want[1] and set(got) == set(partitions_of(degree))
+    total = sum(standard_tableaux_count(lam) * m for lam, m in got.items())
+    assert total == kostka == kostka_number((N,) * k, (n,) * degree)
 
 
 def test_budget_enforcement():
