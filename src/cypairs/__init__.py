@@ -15,6 +15,10 @@ The subpackages compute, with integer or rational arithmetic throughout:
 - cli: the `cypairs` command line front end.
 """
 
+# No module of the package uses numpy; the import keeps it loaded because
+# perfbench/worker.py records sys.modules["numpy"].__version__ with every run.
+import numpy  # noqa: F401
+
 from .bundles import (
     Bundle,
     cohomology_table,

@@ -2,43 +2,41 @@
 determinant-multiplicity witness search.
 
 The character of S^lambda(wedge^n V) for dim V = N is the plethysm s_lambda[e_n]
-evaluated in N variables.  It is computed by expanding s_lambda over the
-binomial(N, n) squarefree monomials of e_n, treated as formal letters in a fixed
-lexicographic order.  A semistandard tableau DP adds the letters one at a time,
-each as a horizontal strip; its state is the tableau shape, and each shape
-holds the exponent-vector distribution of its partial polynomial as a numpy
-array over a slot table: the exponent vectors of one degree, in lex order,
-with strictly increasing integer codes.  The counts are int64 when no count
-can reach 2^63, and Python integers otherwise.  Multiplying by a letter shifts
-codes, and `searchsorted` finds the target slots.  One pass yields the
-tables of every shape of a degree.
+in N variables.  Every Schur coefficient of it is read by the characteristic
+map (Macdonald, Symmetric Functions and Hall Polynomials, I.7): s_lambda is the
+sum over rho |- |lambda| of chi^lambda(rho) p_rho / z_rho, and
+p_m[e_n] = sum over sigma |- n of eps_sigma p_(m sigma) / z_sigma.  So the
+coefficient of s_mu in s_lambda[e_n] is
 
-The coefficient of s_mu is read off a table by Weyl alternation (Macdonald,
-Symmetric Functions and Hall Polynomials, I.3): the sum over w in S_N of
-sgn(w) times the coefficient of x^(mu + rho - w rho), taken over the
-permutations that leave every exponent non-negative.  Every value is an exact
-integer; a negative Schur coefficient contradicts Schur positivity and raises.
-The full expansion reads every dominant exponent this way, off tables that
-keep every exponent vector with entries up to |lambda|.
+    sum over rho of chi^lambda(rho) <p_rho[e_n], s_mu> / z_rho.
 
-The determinant power det^k = S^{(k^N)}V can appear in S^lambda(wedge^n V) only
-for k = n*|lambda|/N; its multiplicity drives the witness search.  It is read
-by the characteristic map (Macdonald I.7), for every lambda of one degree at
-once: s_lambda is the sum over rho of chi^lambda(rho) p_rho / z_rho, so the
-multiplicity is the sum over rho of chi^lambda(rho) <p_rho[e_n], s_(k^N)> / z_rho.
-Every character comes from the Murnaghan-Nakayama rule: border strips moved on
-beta-sets held as bitmasks.  s_(k^N) has N rows, so its coefficient is the same
-in N variables as in infinitely many.
+One walk, `_walk`, computes such sums for every shape at once.  It runs over
+the rho, parts non-increasing, and shares their prefixes: going down, it
+removes the parts one at a time from a start shape and cuts a prefix that
+leaves nothing; coming back up, it adds them to the empty shape.  Both moves
+are border strips on beta-sets held as bitmasks, by the Murnaghan-Nakayama
+rule (Macdonald I.3 and I.7): plain strips give p_m, and strips of sizes
+m*sigma give n! p_m[e_n].  Its two callers differ only in which map goes on
+which side:
+
+- `plethysm_wedge` removes plain strips from lambda and adds n! p_m[e_n] on N
+  beads, which gives the Schur expansion of s_lambda[e_n] in N variables.
+- `_det_multiplicities` removes n! p_m[e_n] from (k^N) and adds plain strips,
+  which gives the multiplicity of det^k = s_(k^N) in s_lambda[e_n] for every
+  lambda of one degree.  s_(k^N) has N rows, so that coefficient is the same
+  in N variables as in infinitely many.
+
+At n = 1, e_1 = p_1 and s_lambda[e_1] = s_lambda, which `plethysm_wedge`
+returns without a walk.  Every weight is scaled by |lambda|! n!^|lambda|, so
+the sums are exact integers; a remainder or a negative coefficient contradicts
+Schur positivity and raises.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
-from itertools import combinations, product
 from math import comb, factorial, prod
-
-import numpy as np
 
 from .partitions import check_partition, partitions_of
 
@@ -61,224 +59,6 @@ def _check_budget(degree, N, budget):
         raise BudgetExceeded(
             f"plethysm degree n*|lambda| = {degree} exceeds budget {budget}"
         )
-
-
-class _Slots:
-    """Exponent vectors of length N with every entry at most `cap`, one slot
-    table per degree, built on first use.
-
-    A vector's code is its value in base cap + 1, so the codes of a table
-    increase with lex order and a shift by x^v adds the code of v.  Codes are
-    int64 while (cap + 1)^N fits, and Python integers beyond that.  A DP over
-    the slots loses every vector that leaves the cap, so the cap must hold
-    every entry of every vector that a lookup reads.
-    """
-
-    def __init__(self, N, cap):
-        self.N = N
-        self.cap = cap
-        base = cap + 1
-        dtype = np.int64 if base**N < 2**63 else object
-        self.weights = np.array([base ** (N - 1 - i) for i in range(N)], dtype=dtype)
-        self._tables = {}
-
-    def table(self, d):
-        """(exps, codes) of degree d: the vectors as rows in lex order, and
-        their codes."""
-        got = self._tables.get(d)
-        if got is None:
-            exps = self._vectors(d)
-            got = self._tables[d] = (exps, exps @ self.weights)
-        return got
-
-    def _vectors(self, d):
-        N, cap = self.N, self.cap
-        exps = np.zeros((1, 0), dtype=np.int64)
-        left = np.array([d], dtype=np.int64)
-        for i in range(N - 1):
-            # the entry at i leaves a remainder the later entries can hold
-            first = np.maximum(left - (N - 1 - i) * cap, 0)
-            counts = np.maximum(np.minimum(left, cap) - first + 1, 0)
-            rows = np.repeat(np.arange(len(left)), counts)
-            starts = np.cumsum(counts) - counts
-            v = first[rows] + np.arange(len(rows)) - starts[rows]
-            exps = np.column_stack([exps[rows], v])
-            left = left[rows] - v
-        return np.column_stack([exps, left])[left <= cap]
-
-    def shift(self, d, v):
-        """(src, dst) for multiplying a degree-d table by x^v: slot src[j]
-        moves to slot dst[j] of degree d+|v|; vectors pushed over the cap are
-        left out.  The shift is injective, so dst has no repeats."""
-        exps, codes = self.table(d)
-        # comparing e with cap - v needs no (rows, N) sum
-        src = np.nonzero((exps <= self.cap - v).all(axis=1))[0]
-        _, tgt = self.table(d + int(v.sum()))
-        dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
-        return src, dst
-
-
-def _wedge_letters(n, N):
-    """The monomials of e_n in N variables, lex ordered on sorted subsets."""
-    return np.array(
-        [[1 if j in s else 0 for j in range(N)] for s in combinations(range(N), n)],
-        dtype=np.int64,
-    )
-
-
-def _shapes(bound, w):
-    """Every partition inside the shape `bound` with at most w boxes, largest
-    first."""
-    top = bound[0] if bound else 0
-    return [
-        nu
-        for size in range(min(w, sum(bound)), -1, -1)
-        for nu in partitions_of(size, max_part=top, max_rows=len(bound))
-        if all(x <= y for x, y in zip(nu, bound))
-    ]
-
-
-def _strip_sources(nu):
-    """Every mu != nu such that nu/mu is a horizontal strip."""
-    lower = nu[1:] + (0,)
-    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, nu)]
-    return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
-
-
-def _count_dtype(M, w):
-    """dtype of the DP counts for shapes of size at most w over M letters.
-
-    A count of shape nu is a number of semistandard tableaux of shape nu with
-    one content, at most dim S^nu(C^M) <= M^|nu|.  So int64 holds every count
-    while M^w < 2^63, and Python integers are used beyond that.
-    """
-    return np.int64 if M**w < 2**63 else object
-
-
-def _tableau_tables(letters, slots, bound, w):
-    """Exponent tables of s_nu over the letters, for every shape nu of size w
-    inside `bound` with at most len(letters) rows, from one DP over the
-    letters on the slot tables `slots`.
-
-    A shape is kept only while the letters left can still add the horizontal
-    strips that complete it to size w inside `bound`, and while its table is
-    not all zero; a dropped shape of size w gets a zero table.  Each letter
-    updates the shapes in place, largest first: every source of a shape is
-    strictly smaller, so it still holds its value from before the letter.
-    The sources of one strip size share a shift map, so their moved entries
-    are summed and added once.
-    """
-    deg = int(letters[0].sum())
-    order = _shapes(bound, w)
-    sources = {}
-    for nu in order:
-        by_size = sources[nu] = {}
-        for mu in _strip_sources(nu):
-            by_size.setdefault(sum(mu), []).append(mu)
-    # fewest letters (horizontal strips) that complete each shape
-    need = {nu: 0 if sum(nu) == w else len(letters) + 1 for nu in order}
-    for nu in order:
-        for by_size in sources[nu].values():
-            for mu in by_size:
-                need[mu] = min(need[mu], need[nu] + 1)
-    dtype = _count_dtype(len(letters), w)
-    state = {(): np.ones(1, dtype=dtype)}
-    for i, letter in enumerate(letters):
-        rem = len(letters) - 1 - i
-        maps = {}
-        for nu in order:
-            # a strip adds at most one row to a shape of at most i rows
-            if need[nu] > rem or len(nu) > i + 1:
-                continue
-            size = sum(nu)
-            tgt = state.get(nu)
-            for msize, mus in sources[nu].items():
-                arrs = [state[mu] for mu in mus if mu in state]
-                if not arrs:
-                    continue
-                key = (msize, size - msize)
-                m = maps.get(key)
-                if m is None:
-                    m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
-                src, dst = m
-                if not len(src):
-                    continue
-                if tgt is None:
-                    _, codes = slots.table(size * deg)
-                    tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
-                moved = arrs[0][src]
-                for arr in arrs[1:]:
-                    moved += arr[src]
-                tgt[dst] += moved
-        state = {mu: arr for mu, arr in state.items() if need[mu] <= rem and arr.any()}
-    _, codes = slots.table(w * deg)
-    return {
-        nu: state[nu] if nu in state else np.zeros(len(codes), dtype=dtype)
-        for nu in order
-        if sum(nu) == w and len(nu) <= len(letters)
-    }
-
-
-def _alternation(slots, mu):
-    """(idx, signs) such that the coefficient of s_mu in a table `arr` is
-    sum(signs * arr[idx]).
-
-    The terms are x^(mu + rho - p.rho), rho = (N-1, ..., 0), with sign sgn p,
-    over the permutations p of range(N) that leave every entry non-negative.
-    Only permutations with p(i) >= i - mu_i keep the entry mu_i - i + p(i)
-    non-negative.  Those allowed sets shrink as i grows, so rows are filled
-    from the last one.  Exponent vectors over the cap of the slots are left
-    out: the cap is chosen so that their coefficients are zero.
-    """
-    N = slots.N
-    mu = tuple(mu) + (0,) * (N - len(mu))
-    perms = np.zeros((1, 0), dtype=np.int64)
-    signs = np.ones(1, dtype=np.int64)
-    for i in range(N - 1, -1, -1):
-        free = np.ones((len(perms), N), dtype=bool)
-        free[np.arange(len(perms))[:, None], perms] = False
-        free[:, : max(0, i - mu[i])] = False
-        rows, vals = np.nonzero(free)
-        inversions = (perms[rows] < vals[:, None]).sum(axis=1)
-        signs = signs[rows] * (1 - 2 * (inversions % 2))
-        perms = np.column_stack([vals, perms[rows]])
-    betas = np.array(mu) - np.arange(N) + perms
-    ok = (betas <= slots.cap).all(axis=1)
-    idx = np.searchsorted(slots.table(sum(mu))[1], betas[ok] @ slots.weights)
-    return idx, signs[ok]
-
-
-def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
-    """Schur expansion of s_lam[e_n] in N variables (default N = 2n+1).
-
-    Returns {mu: coefficient} with all coefficients positive; mu have at most
-    N rows.  Raises BudgetExceeded when n*|lam| is over budget, never silently
-    truncates.
-    """
-    lam = check_partition(lam)
-    if N is None:
-        N = 2 * n + 1
-    if not (1 <= n <= N):
-        raise ValueError("need 1 <= n <= N")
-    _check_budget(n * sum(lam), N, budget)
-    # each box adds at most 1 to an entry, so the cap |lam| drops nothing
-    slots = _Slots(N, sum(lam))
-    # no table when lam has more rows than e_n has monomials
-    arr = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam)).get(lam)
-    if arr is None:
-        return {}
-    exps, _ = slots.table(n * sum(lam))
-    # c_mu != 0 needs x^mu in the table, since Kostka numbers are >= 0
-    dominant = (arr != 0) & (exps[:, :-1] >= exps[:, 1:]).all(axis=1)
-    out = {}
-    for e in exps[dominant].tolist():
-        idx, signs = _alternation(slots, e)
-        c = sum((arr[idx] * signs).tolist())
-        if c < 0:
-            raise AssertionError(f"negative Schur coefficient {c} at {e}")
-        if c:
-            out[tuple(x for x in e if x)] = c
-    return out
 
 
 def _border_strips(beads, m, grow):
@@ -309,25 +89,121 @@ def _z(parts):
     return prod(i**m * factorial(m) for i, m in Counter(parts).items())
 
 
+def _beads(lam, rows):
+    """The beta-set of lam on `rows` beads, as a bitmask."""
+    padded = lam + (0,) * (rows - len(lam))
+    return sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
+
+
+def _spread(out, terms, images, *args):
+    """Adds to `out` the image of `terms` under the linear map that sends
+    each shape b to images(b, *args); returns `out`."""
+    for b, x in terms.items():
+        for b2, y in images(b, *args):
+            out[b2] = out.get(b2, 0) + x * y
+    return out
+
+
+def _strip_maps(n):
+    """(strips, wedge): the maps (beads, m, grow) -> [(beads', coefficient)]
+    of p_m and of n! p_m[e_n], adding (grow) or removing strips, memoized.
+
+    n! p_m[e_n] is the sum over sigma |- n of eps_sigma (n! / z_sigma)
+    p_(m sigma), so `wedge` moves strips of sizes m*sigma, one part of sigma
+    at a time.
+    """
+    strips = lru_cache(maxsize=None)(_border_strips)
+    unit = factorial(n)
+    terms = [((-1) ** (n - len(s)) * unit // _z(s), s) for s in partitions_of(n)]
+
+    @lru_cache(maxsize=None)
+    def wedge(beads, m, grow):
+        got = Counter()
+        for c, sigma in terms:
+            moved = {beads: c}
+            for part in sigma:
+                moved = _spread({}, moved, strips, m * part, grow)
+            got.update(moved)
+        return [(b, x) for b, x in got.items() if x]
+
+    return strips, wedge
+
+
+def _walk(w, start, rows, down, up, unit):
+    """{beta-set on `rows` beads: w! unit^w S}, where S is the sum over
+    rho |- w of <D_rho start, 1> U_rho(empty) / (z_rho unit^len(rho)).
+
+    D_rho removes the parts of rho from the shape `start` by down(beads, m,
+    False), and U_rho adds them to the empty shape by up(beads, m, True);
+    the two maps of one part together carry the factor `unit`.  Going down a
+    prefix, a prefix with nothing left is cut, since every rho it starts adds
+    0.  Coming back up, the parts after the prefix are added to what the
+    rest of the walk returns.  That side keeps `rows` beads, which drops
+    every shape with more rows: a strip never removes a row, so no such
+    shape leads to one that fits.
+    """
+
+    def visit(prefix, left, terms):
+        if not left:
+            # terms holds <D_prefix start, 1>, on the empty shape
+            (value,) = terms.values()
+            weight = value * unit ** (w - len(prefix)) * (factorial(w) // _z(prefix))
+            return {(1 << rows) - 1: weight}
+        out = {}
+        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
+            below = {b: x for b, x in _spread({}, terms, down, m, False).items() if x}
+            if below:
+                _spread(out, visit(prefix + (m,), left - m, below), up, m, True)
+        return out
+
+    return visit((), w, {start: 1})
+
+
+def _read(total, size, rows, scale):
+    """{mu: coefficient} for every mu |- size with at most `rows` rows, read
+    off a walk's `total` scaled by `scale`; every coefficient is a
+    multiplicity, so a remainder or a negative value raises."""
+    out = {}
+    for mu in partitions_of(size, max_rows=rows):
+        c, rest = divmod(total.get(_beads(mu, rows), 0), scale)
+        if rest or c < 0:
+            raise AssertionError(f"coefficient {c} + {rest}/{scale} at {mu}")
+        out[mu] = c
+    return out
+
+
+def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
+    """Schur expansion of s_lam[e_n] in N variables (default N = 2n+1).
+
+    Returns {mu: coefficient} with all coefficients positive; mu have at most
+    N rows.  Raises BudgetExceeded when n*|lam| is over budget, never silently
+    truncates.  The walk keeps N beads on the expansion side: a strip never
+    removes a row, and s_mu = 0 in N variables once mu has more than N rows.
+    """
+    lam = check_partition(lam)
+    if N is None:
+        N = 2 * n + 1
+    if not (1 <= n <= N):
+        raise ValueError("need 1 <= n <= N")
+    w = sum(lam)
+    _check_budget(n * w, N, budget)
+    if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
+        return {lam: 1} if len(lam) <= N else {}
+    strips, wedge = _strip_maps(n)
+    unit = factorial(n)
+    total = _walk(w, _beads(lam, len(lam)), N, strips, wedge, unit)
+    expansion = _read(total, n * w, N, factorial(w) * unit**w)
+    return {mu: c for mu, c in expansion.items() if c}
+
+
 def _det_multiplicities(n, w, budget):
     """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for every lam of
     size w with at most binomial(N, n) rows, dim V = N = 2n+1; (None, {})
     unless N divides n*w.
 
-    By the characteristic map, mult(lam) is the sum over rho |- w of
-    chi^lam(rho) psi(rho) / z_rho, where psi(rho) = <p_rho[e_n], s_(k^N)> and
-    p_m[e_n] = sum over sigma |- n of eps_sigma p_(m sigma) / z_sigma.  One walk
-    over the rho, parts non-increasing, shares their prefixes.  Going down a
-    prefix pi, it removes strips of sizes m*sigma from (k^N), which gives
-    n!^len(pi) p_pi[e_n]^perp s_(k^N); a prefix with nothing left is cut, since
-    psi = 0 on every rho it starts.  Coming back up, it adds the parts after pi
-    as strips to the empty shape, which gives the sum over the rho that start
-    with pi of their weight times p_(rho minus pi), in the Schur basis.  That
-    side keeps min(w, binomial(N, n)) beads, which drops every shape with more
-    rows: a strip never removes a row, and s_lam[e_n] = 0 in N variables once
-    lam has more rows than e_n has monomials.  Every weight is scaled by
-    w! n!^w, so the sums are exact integers, and the division at the end must
-    leave no remainder.
+    The walk removes n! p_m[e_n] from (k^N) and adds plain strips to the
+    empty shape, on min(w, binomial(N, n)) beads: s_lam[e_n] = 0 in N
+    variables once lam has more rows than e_n has monomials.
     """
     N = 2 * n + 1
     k, r = divmod(n * w, N)
@@ -336,54 +212,10 @@ def _det_multiplicities(n, w, budget):
     if r:
         return None, {}
     rows = min(w, comb(N, n))
+    strips, wedge = _strip_maps(n)
     unit = factorial(n)
-    # n! p_m[e_n] = sum over sigma of eps_sigma (n! / z_sigma) p_(m sigma)
-    wedge = [((-1) ** (n - len(s)) * unit // _z(s), s) for s in partitions_of(n)]
-    strips = lru_cache(maxsize=None)(_border_strips)
-
-    def spread(out, terms, images, *args):
-        # adds to out the image of terms under the linear map that sends each
-        # shape b to images(b, *args)
-        for b, x in terms.items():
-            for b2, y in images(b, *args):
-                out[b2] = out.get(b2, 0) + x * y
-        return out
-
-    @lru_cache(maxsize=None)
-    def adjoint(beads, m):
-        # n! p_m[e_n]^perp of one shape
-        got = Counter()
-        for c, sigma in wedge:
-            terms = {beads: c}
-            for part in sigma:
-                terms = spread({}, terms, strips, m * part, False)
-            got.update(terms)
-        return [(b, x) for b, x in got.items() if x]
-
-    def walk(prefix, left, down):
-        if not left:
-            # down holds n!^len(prefix) psi(prefix), on the empty shape
-            (psi,) = down.values()
-            weight = psi * unit ** (w - len(prefix)) * (factorial(w) // _z(prefix))
-            return {(1 << rows) - 1: weight}
-        out = {}
-        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
-            down2 = {b: x for b, x in spread({}, down, adjoint, m).items() if x}
-            if down2:
-                spread(out, walk(prefix + (m,), left - m, down2), strips, m, True)
-        return out
-
-    total = walk((), w, {(1 << N) - 1 << k: 1})
-    denominator = factorial(w) * unit**w
-    out = {}
-    for lam in partitions_of(w, max_rows=rows):
-        padded = lam + (0,) * (rows - len(lam))
-        beads = sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
-        mult, rest = divmod(total.get(beads, 0), denominator)
-        if rest or mult < 0:
-            raise AssertionError(f"multiplicity {mult} + {rest}/{denominator} at {lam}")
-        out[lam] = mult
-    return k, out
+    total = _walk(w, (1 << N) - 1 << k, rows, wedge, strips, unit)
+    return k, _read(total, w, rows, factorial(w) * unit**w)
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):

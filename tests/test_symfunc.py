@@ -1,9 +1,10 @@
 """Plethysm s_lambda[e_n], determinant multiplicities, witness search."""
 
 import random
+import sys
 import time
 from fractions import Fraction
-from itertools import permutations, product
+from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
 import numpy as np
@@ -16,10 +17,6 @@ from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
     _border_strips,
-    _count_dtype,
-    _Slots,
-    _tableau_tables,
-    _wedge_letters,
     determinant_multiplicity,
     dimension_gap,
     find_witness,
@@ -91,7 +88,7 @@ def gl_dimension(mu, d):
 
 def dominant_table(lam, n, N):
     """{dominant exponent: coefficient} of s_lam[e_n] in N variables."""
-    slots = _Slots(N, sum(lam))
+    slots = _ReferenceSlots(N, sum(lam))
     arr = _tableau_tables(_wedge_letters(n, N), slots, lam, sum(lam))[lam]
     exps, _ = slots.table(n * sum(lam))
     return {
@@ -160,9 +157,10 @@ def shapes_by_dfs(bound, w):
 
 
 class _ReferenceSlots:
-    """The determinant lookup's slot table before windows: every exponent
-    vector of length N with every entry at most `cap`, codes in base cap+1.
-    Kept as the reference that the windowed tables must agree with."""
+    """The slot tables of the reference tableau DP: every exponent vector of
+    length N with every entry at most `cap`, one table per degree in lex
+    order, codes in base cap+1 (Python integers once (cap+1)^N reaches 2^63).
+    A shift by x^v drops the vectors it pushes over the cap."""
 
     def __init__(self, N, cap):
         self.N = N
@@ -199,6 +197,107 @@ class _ReferenceSlots:
         _, tgt = self.table(d + int(v.sum()))
         dst = np.searchsorted(tgt, codes[src] + v @ self.weights)
         return src, dst
+
+
+def _wedge_letters(n, N):
+    """The monomials of e_n in N variables, lex ordered on sorted subsets."""
+    return np.array(
+        [[1 if j in s else 0 for j in range(N)] for s in combinations(range(N), n)],
+        dtype=np.int64,
+    )
+
+
+def _shapes(bound, w):
+    """Every partition inside the shape `bound` with at most w boxes, largest
+    first."""
+    top = bound[0] if bound else 0
+    return [
+        nu
+        for size in range(min(w, sum(bound)), -1, -1)
+        for nu in partitions_of(size, max_part=top, max_rows=len(bound))
+        if all(x <= y for x, y in zip(nu, bound))
+    ]
+
+
+def _strip_sources(nu):
+    """Every mu != nu such that nu/mu is a horizontal strip."""
+    lower = nu[1:] + (0,)
+    ranges = [range(lo, hi + 1) for lo, hi in zip(lower, nu)]
+    return [tuple(x for x in mu if x) for mu in product(*ranges) if mu != nu]
+
+
+def _count_dtype(M, w):
+    """dtype of the DP counts for shapes of size at most w over M letters.
+
+    A count of shape nu is a number of semistandard tableaux of shape nu with
+    one content, at most dim S^nu(C^M) <= M^|nu|.  So int64 holds every count
+    while M^w < 2^63, and Python integers are used beyond that.
+    """
+    return np.int64 if M**w < 2**63 else object
+
+
+def _tableau_tables(letters, slots, bound, w):
+    """Exponent tables of s_nu over the letters, for every shape nu of size w
+    inside `bound` with at most len(letters) rows, from one DP over the
+    letters on the slot tables `slots`.
+
+    A shape is kept only while the letters left can still add the horizontal
+    strips that complete it to size w inside `bound`, and while its table is
+    not all zero; a dropped shape of size w gets a zero table.  Each letter
+    updates the shapes in place, largest first: every source of a shape is
+    strictly smaller, so it still holds its value from before the letter.
+    The sources of one strip size share a shift map, so their moved entries
+    are summed and added once.
+    """
+    deg = int(letters[0].sum())
+    order = _shapes(bound, w)
+    sources = {}
+    for nu in order:
+        by_size = sources[nu] = {}
+        for mu in _strip_sources(nu):
+            by_size.setdefault(sum(mu), []).append(mu)
+    # fewest letters (horizontal strips) that complete each shape
+    need = {nu: 0 if sum(nu) == w else len(letters) + 1 for nu in order}
+    for nu in order:
+        for by_size in sources[nu].values():
+            for mu in by_size:
+                need[mu] = min(need[mu], need[nu] + 1)
+    dtype = _count_dtype(len(letters), w)
+    state = {(): np.ones(1, dtype=dtype)}
+    for i, letter in enumerate(letters):
+        rem = len(letters) - 1 - i
+        maps = {}
+        for nu in order:
+            # a strip adds at most one row to a shape of at most i rows
+            if need[nu] > rem or len(nu) > i + 1:
+                continue
+            size = sum(nu)
+            tgt = state.get(nu)
+            for msize, mus in sources[nu].items():
+                arrs = [state[mu] for mu in mus if mu in state]
+                if not arrs:
+                    continue
+                key = (msize, size - msize)
+                m = maps.get(key)
+                if m is None:
+                    m = maps[key] = slots.shift(msize * deg, letter * (size - msize))
+                src, dst = m
+                if not len(src):
+                    continue
+                if tgt is None:
+                    _, codes = slots.table(size * deg)
+                    tgt = state[nu] = np.zeros(len(codes), dtype=dtype)
+                moved = arrs[0][src]
+                for arr in arrs[1:]:
+                    moved += arr[src]
+                tgt[dst] += moved
+        state = {mu: arr for mu, arr in state.items() if need[mu] <= rem and arr.any()}
+    _, codes = slots.table(w * deg)
+    return {
+        nu: state[nu] if nu in state else np.zeros(len(codes), dtype=dtype)
+        for nu in order
+        if sum(nu) == w and len(nu) <= len(letters)
+    }
 
 
 def permutation_sign(p):
@@ -305,8 +404,9 @@ def test_degrees_and_positivity():
 
 
 def test_alternation_matches_straightening():
-    # every Schur coefficient is read off the monomial table by Weyl
-    # alternation; straightening the same table is an independent route
+    # plethysm_wedge reads every Schur coefficient by the characteristic-map
+    # walk; straightening the reference DP's monomial table is an
+    # independent route
     for lam, n, N in [(lam, 2, 5) for w in range(1, 6) for lam in partitions_of(w)] + [
         ((2, 1, 1, 1), 3, 7),
         ((1,) * 5, 2, 10),
@@ -323,18 +423,40 @@ def test_shared_pass_matches_single_shape():
         letters = _wedge_letters(n, N)
         M = len(letters)
         for w in range(1, top + 1):
-            shared = _tableau_tables(letters, _Slots(N, w), (w,) * min(w, M), w)
+            shared = _tableau_tables(letters, _ReferenceSlots(N, w), (w,) * min(w, M), w)
             shapes = list(partitions_of(w, max_rows=M))
             assert set(shared) == set(shapes)
             for lam in shapes:
-                single = _tableau_tables(letters, _Slots(N, w), lam, w)
+                single = _tableau_tables(letters, _ReferenceSlots(N, w), lam, w)
                 assert np.array_equal(shared[lam], single[lam]), (N, lam)
+
+
+@pytest.mark.parametrize("lam", [(2, 2), (3, 1), (2, 1, 1)])
+def test_plethysm_n_four_matches_straightening(lam):
+    # budget: 0.5 seconds for s_lam[e_4] in 9 variables, degree 16; the
+    # reference DP and straightening share no code with the walk
+    t0 = time.perf_counter()
+    got = plethysm_wedge(lam, 4, 9, budget=16)
+    assert time.perf_counter() - t0 < 0.5
+    assert got == straighten(dominant_table(lam, 4, 9), 9)
+
+
+@pytest.mark.parametrize("w", range(9))
+def test_walk_at_n_one_is_schur(w):
+    # s_lam[e_1] = s_lam: the general walk, which plethysm_wedge skips at
+    # n = 1, gives w! s_lam on N beads, and 0 once lam has more than N rows
+    strips, wedge = symfunc._strip_maps(1)
+    for lam in partitions_of(w):
+        for N in range(1, 5):
+            total = symfunc._walk(w, beta_set(lam, len(lam)), N, strips, wedge, 1)
+            want = {beta_set(lam, N): factorial(w)} if len(lam) <= N else {}
+            assert {b: x for b, x in total.items() if x} == want, (lam, N)
 
 
 @pytest.mark.parametrize("bound", [(), (1,), (3, 2, 1), (4, 4, 4), (7, 4, 2, 1, 1)])
 def test_shapes_match_dfs(bound):
     for w in range(sum(bound) + 1):
-        got = symfunc._shapes(bound, w)
+        got = _shapes(bound, w)
         assert len(got) == len(set(got))
         assert set(got) == set(shapes_by_dfs(bound, w)), (bound, w)
         # largest first: every strip source of a shape comes after it
@@ -362,7 +484,7 @@ def test_expansion_dimension_matches_hook_content(case):
 
 def test_exact_codes_in_many_variables():
     # base^N of the slot codes passes 2^63 here: 5^30 for the first case
-    assert _Slots(30, 4).weights.dtype == object
+    assert _ReferenceSlots(30, 4).weights.dtype == object
     assert plethysm_wedge((4,), 1, N=30) == {(4,): 1}
     assert plethysm_wedge((2,), 2, N=30) == {(2, 2): 1, (1, 1, 1, 1): 1}
 
@@ -376,7 +498,7 @@ def test_count_dtype_switches_at_two_to_the_63():
     for M, w in ((10, 15), (35, 5), (10, 10)):
         assert _count_dtype(M, w) is np.int64
     # two letters of e_1 in 2 variables and 63 boxes run on Python integers
-    arr = _tableau_tables(_wedge_letters(1, 2), _Slots(2, 63), (40, 23), 63)[(40, 23)]
+    arr = _tableau_tables(_wedge_letters(1, 2), _ReferenceSlots(2, 63), (40, 23), 63)[(40, 23)]
     assert arr.dtype == object
     assert plethysm_wedge((40, 23), 1, N=2, budget=63) == {(40, 23): 1}
 
@@ -384,10 +506,10 @@ def test_count_dtype_switches_at_two_to_the_63():
 def test_object_counts_match_int64(monkeypatch):
     letters = _wedge_letters(2, 5)
     w = 6
-    want = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
+    want = _tableau_tables(letters, _ReferenceSlots(5, w), (w,) * w, w)
     expansion = plethysm_wedge((2, 2, 1, 1), 2)
-    monkeypatch.setattr(symfunc, "_count_dtype", lambda M, w: object)
-    got = _tableau_tables(letters, _Slots(5, w), (w,) * w, w)
+    monkeypatch.setattr(sys.modules[__name__], "_count_dtype", lambda M, w: object)
+    got = _tableau_tables(letters, _ReferenceSlots(5, w), (w,) * w, w)
     assert set(got) == set(want)
     for lam, arr in got.items():
         assert arr.dtype == object and want[lam].dtype == np.int64
@@ -514,7 +636,7 @@ def test_windowed_slots_match_brute_force():
     for _ in range(30):
         N = rng.randint(1, 5)
         cap = rng.randint(0, 4)
-        slots = _Slots(N, cap)
+        slots = _ReferenceSlots(N, cap)
         window = {}
         for e in product(range(cap + 1), repeat=N):
             window.setdefault(sum(e), []).append(e)
@@ -567,7 +689,8 @@ def test_no_witness_in_low_degree():
 
 def test_witness_multiplicity_at_degree_fifteen():
     # first multiplicity >= 2 for n = 2 sits in degree 15; the single lookup
-    # and the full expansion use different exponent caps
+    # and the full expansion put the two strip maps on opposite sides of the
+    # walk
     assert determinant_multiplicity((7, 4, 2, 1, 1), 2, budget=30) == (6, 2)
     assert plethysm_wedge((7, 4, 2, 1, 1), 2, budget=30)[(6,) * 5] == 2
 
