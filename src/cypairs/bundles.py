@@ -129,40 +129,41 @@ def _twisted_schur_vanishing(n: int) -> dict:
     dominant.
 
     H^0 is the GL(2n+1) irreducible of highest weight (r, 0^n) with
-    r = q - i^(n+1), 0 <= r_a <= n-2.  Its Weyl dimension splits into the
-    q-block pairs (r_a - r_b + b - a), one cross factor
-    prod_{b=n+1}^{2n} (r_a + b - a) per row, tabulated once per n, and the
-    exact denominator sf(2n+1) / sf(n), where sf(m) = prod_{k<m} k! and the
-    zero block's own pairs cancel sf(n).  It depends on r alone, so it is
-    memoized by r.
+    r = q - i^(n+1), 0 <= r_a <= n-2: the full-height q are 1^(n+1) plus the
+    (n+1) x (n-2) box, and the r are that box again.  Their Weyl dimensions
+    are one table, filled by a walk over row prefixes: row a with entry x
+    multiplies in its cross factor prod_{b=n+1}^{2n} (x + b - a) and its
+    pairs (r_b - x + a - b) with the rows b < a, over the exact denominator
+    sf(2n+1) / sf(n), sf(m) = prod_{k<m} k! (the zero block cancels sf(n)).
     """
-    escapes = []
-    cases = 0
     cross = [
         [prod(r + b - a for b in range(n + 1, 2 * n + 1)) for r in range(n - 1)]
         for a in range(n + 1)
     ]
+    # numerators by row prefix, then divided in place
+    dims = {(): 1}
+    for a in range(n + 1):
+        dims = {
+            r + (x,): num * cross[a][x] * prod([y - x + a - b for b, y in enumerate(r)])
+            for r, num in dims.items()
+            for x in range(r[-1] + 1 if r else n - 1)
+        }
     den = prod(factorial(k) for k in range(n, 2 * n + 1))
-    dims = {}
-    for q in _box_partitions(n - 1, n + 1):
-        cases += 2 * n
-        if len(q) < n + 1:
-            continue
-        for i in range(1, q[-1] + 1):
-            r = tuple(x - i for x in q)
-            dim = dims.get(r)
-            if dim is None:
-                num = prod(cross[a][x] for a, x in enumerate(r)) * prod(
-                    r[a] - r[b] + b - a for b in range(n + 1) for a in range(b)
-                )
-                dim, rem = divmod(num, den)
-                assert rem == 0 and dim >= 1
-                dims[r] = dim
-            escapes.append({"q": q, "twist": -i, "degree": 0, "dim": dim})
+    for r, num in dims.items():
+        dims[r], rem = divmod(num, den)
+        assert rem == 0 and dims[r] >= 1
+    escapes = []
+    for p in _box_partitions(n - 2, n + 1):
+        r = p + (0,) * (n + 1 - len(p))
+        q = tuple([x + 1 for x in r])
+        for i in range(1, q[-1] + 1):  # r = q - i^(n+1)
+            escapes.append({"q": q, "twist": -i, "degree": 0, "dim": dims[r]})
+            r = tuple([x - 1 for x in r])
     return {
         "name": "twisted_schur_vanishing",
         "status": "deviation" if escapes else "pass",
-        "cases": cases,
+        # the (n+1) x (n-1) box holds C(2n, n-1) partitions, each with 2n twists
+        "cases": 2 * n * comb(2 * n, n - 1),
         "escapes": escapes,
         "note": "escapes are exactly the full-height rows that shift the "
         "twist out of range",

@@ -11,9 +11,10 @@ samples that equation exactly: it always holds for the identity section,
 and for a random S it should never hold, in line with the dimension gap
 between GL(V) and the flag of the Pluecker ambient.
 
-Inside, every probe matrix and every minor is a plain int: minors come from
-Bareiss fraction-free elimination, whose divisions are exact.  The public
-functions take and return Fractions; `det` and `compound` clear each row's
+Inside, every probe matrix and every minor is a plain int: a compound shares
+its row-prefix minors by Laplace expansion, and `det` runs Bareiss
+fraction-free elimination, whose divisions are exact.  The public functions
+take and return Fractions; `det` and `compound` clear each row's
 denominators, run the integer kernel and divide back.
 """
 
@@ -96,20 +97,50 @@ def _bareiss(rows) -> int:
 
 
 def _compound(rows, k: int) -> tuple:
-    """k-th compound of an int matrix, subsets in lexicographic order."""
-    cols = list(combinations(range(len(rows[0]) if rows else 0), k))
-    return tuple(
-        tuple(_bareiss([[rows[i][j] for j in J] for i in I]) for J in cols)
-        for I in combinations(range(len(rows)), k)
-    )
+    """k-th compound of an int matrix, subsets in lexicographic order.
+
+    Level j holds every j x j minor on the row sets that still extend to a
+    k-set, expanded along its last row over the (j-1)-minors of its row
+    prefix: no minor is computed twice, and two levels are held at once.
+    """
+    m, p = len(rows), len(rows[0]) if rows else 0
+    level, cols = {(): (1,)}, [()]
+    for j in range(1, k + 1):
+        at = {J: y for y, J in enumerate(combinations(range(p), j))}
+        # terms[c]: (J, J - c) index pairs, moved to terms[c + p], read against
+        # the negated row, when the cofactor sign (-1)^(j-1+t) is -1 (c = J[t])
+        terms = [[] for _ in range(2 * p)]
+        for x, K in enumerate(cols):
+            for c in set(range(p)).difference(K):
+                t = sum(b < c for b in K)
+                terms[c + p * ((j - 1 + t) % 2)].append((at[K[:t] + (c,) + K[t:]], x))
+        cols = list(at)
+        nxt = {}
+        for I in combinations(range(m - k + j), j):
+            row, prev, out = rows[I[-1]], level[I[:-1]], [0] * len(cols)
+            for a, pairs in zip([*row, *(-v for v in row)], terms):
+                if a:
+                    for y, x in pairs:
+                        out[y] += a * prev[x]
+            nxt[I] = tuple(out)
+        level = nxt
+    return tuple(level.values())
+
+
+def _scaled(a) -> tuple:
+    """(scales, rows): each row times the lcm of its denominators, so a minor
+    of `a` is the integer minor over the scales of its rows."""
+    scales = [lcm(*(x.denominator for x in row)) for row in a]
+    return scales, [[int(x * s) for x in row] for row, s in zip(a, scales)]
 
 
 def det(a) -> Fraction:
-    """Exact determinant: the one minor of full order."""
+    """Exact determinant: one Bareiss elimination, O(N^3) steps."""
     a = as_matrix(a)
     if a and len(a[0]) != len(a):
         raise ValueError("determinant of a nonsquare matrix")
-    return compound(a, len(a))[0][0]
+    scales, rows = _scaled(a)
+    return Fraction(_bareiss(rows), prod(scales))
 
 
 def inverse(a) -> tuple:
@@ -136,17 +167,13 @@ def compound(a, k: int) -> tuple:
     """k-th compound: minors on k-subsets of rows and columns, both in
     lexicographic order.  Functorial: compound(AB) = compound(A) compound(B).
 
-    Each row is scaled to integers by the lcm of its denominators, so a
-    minor of `a` is the integer minor divided by the scales of its rows."""
+    Level j <= k of an m x p matrix costs C(m-k+j, j) C(p, j) minors of j
+    products each, exponential near k = min(m, p): use `det` for one minor."""
     a = as_matrix(a)
     m, p = len(a), len(a[0]) if a else 0
     if not 0 <= k <= min(m, p):
         raise ValueError(f"compound order {k} out of range for {m}x{p}")
-    scales = [lcm(*(x.denominator for x in row)) for row in a]
-    rows = [
-        [x.numerator * (s // x.denominator) for x in row]
-        for row, s in zip(a, scales)
-    ]
+    scales, rows = _scaled(a)
     return tuple(
         tuple(Fraction(x, prod(scales[i] for i in I)) for x in minors)
         for I, minors in zip(combinations(range(m), k), _compound(rows, k))

@@ -187,8 +187,10 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         raise ValueError("need 1 <= n <= N")
     w = sum(lam)
     _check_budget(n * w, N, budget)
+    if len(lam) > comb(N, n):  # S^lam of a space of dimension C(N, n) is 0
+        return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
-        return {lam: 1} if len(lam) <= N else {}
+        return {lam: 1}
     strips, wedge = _strip_maps(n)
     unit = factorial(n)
     total = _walk(w, _beads(lam, len(lam)), N, strips, wedge, unit)

@@ -1,6 +1,7 @@
 """Tensor decompositions and the vanishing-claims sweep."""
 
 import random
+from functools import lru_cache
 from math import comb
 
 import pytest
@@ -15,7 +16,7 @@ from cypairs.bundles import (
     wedge_q,
 )
 from cypairs.bwb import bott, canonicalize, cohomology, to_weight
-from cypairs.partitions import partitions_of
+from cypairs.partitions import partitions_of, weyl_dimension
 
 Q = Bundle((), (1,), 0)
 UDUAL = Bundle((1,), (), 0)
@@ -145,6 +146,23 @@ def test_twisted_schur_sweep_matches_per_case_walk():
         # boxes, summed over i by the hockey stick
         assert got["cases"] == 2 * n * comb(2 * n, n - 1), n
         assert len(got["escapes"]) == comb(2 * n, n - 2), n
+
+
+@pytest.mark.parametrize("n", [9, 10])
+def test_twisted_schur_sweep_beyond_the_walk(n):
+    # past the per-case walk's range: the escapes are the (q, i) of the
+    # lemma in box order, each with the Weyl dimension of q - i^(n+1) for
+    # GL(2n+1), and the counts keep their closed forms
+    got = _twisted_schur_vanishing(n)
+    assert got["cases"] == 2 * n * comb(2 * n, n - 1)
+    assert len(got["escapes"]) == comb(2 * n, n - 2)
+    assert [(e["q"], e["twist"]) for e in got["escapes"]] == [
+        (q, -i) for q in box(n) if len(q) == n + 1 for i in range(1, q[-1] + 1)
+    ]
+    dim = lru_cache(maxsize=None)(lambda r: weyl_dimension(r, 2 * n + 1))
+    for e in got["escapes"]:
+        assert e["degree"] == 0
+        assert e["dim"] == dim(tuple(x + e["twist"] for x in e["q"])), e
 
 
 def test_twisted_schur_collision_interval():

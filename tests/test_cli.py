@@ -452,14 +452,15 @@ def test_claim_subcommands_print_the_verify_detail(capsys):
 
 
 @pytest.mark.parametrize("flags, golden", [
-    (["--json"], "verify_n2_3.json"),
-    ([], "verify_n2_3.txt"),
+    (["--n", "2,3", "--trials", "2", "--seed", "1", "--json"], "verify_n2_3.json"),
+    (["--n", "2,3", "--trials", "2", "--seed", "1"], "verify_n2_3.txt"),
+    # the n = 4 probe runs on 126 x 126 compounds
+    (["--n", "4", "--json", "--seed", "0"], "verify_n4.json"),
 ])
 def test_verify_stdout_is_byte_identical_to_golden(capsys, flags, golden):
     # regenerate on purpose only, with
-    #   cypairs verify --n 2,3 --trials 2 --seed 1 [--json] > tests/data/<golden>
-    argv = ["verify", "--n", "2,3", "--trials", "2", "--seed", "1"] + flags
-    assert main(argv) == 0
+    #   cypairs verify <flags> > tests/data/<golden>
+    assert main(["verify"] + flags) == 0
     assert capsys.readouterr().out.encode() == (DATA / golden).read_bytes()
 
 

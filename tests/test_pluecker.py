@@ -1,12 +1,15 @@
 """Exact linear algebra behind the section-symmetry probe."""
 
 import random
+import time
 from fractions import Fraction
 from itertools import combinations
 
 import pytest
 
+from cypairs import pluecker
 from cypairs.pluecker import (
+    _bareiss,
     _compound,
     _twist_fixes,
     as_matrix,
@@ -44,6 +47,22 @@ def test_det_known_values():
     assert det(identity(6)) == 1
 
 
+def test_det_stays_polynomial(monkeypatch):
+    # a full-order Laplace expansion would take about N 2^(N-1) products and
+    # as many cofactor indices, so det must not build a compound: one
+    # elimination finishes order 24 and a random order 16 well within 1 s
+    def expand(rows, k):
+        raise AssertionError("det built a compound")
+
+    monkeypatch.setattr(pluecker, "_compound", expand)
+    a = random_matrix(random.Random(173), 16, 16)
+    start = time.perf_counter()
+    assert det(identity(24)) == 1
+    value = det(a)
+    assert time.perf_counter() - start < 1.0
+    assert value == det(transpose(a)) and det(mat_mul(a, a)) == value**2
+
+
 def test_det_is_multiplicative_and_transpose_invariant():
     rng = random.Random(11)
     for _ in range(40):
@@ -77,6 +96,28 @@ def test_compound_edge_orders():
     assert compound(a, 0) == ((Fraction(1),),)
     for k in range(5):
         assert compound(identity(4), k) == identity(len(compound(a, k)))
+
+
+def test_compound_matches_per_minor_elimination():
+    # the level-by-level Laplace compound against one Bareiss elimination
+    # per minor, on every shape up to 6 x 6 and every order, including a
+    # repeated row and a zero column
+    rng = random.Random(179)
+    for m in range(1, 7):
+        for p in range(1, 7):
+            a = [[rng.randint(-4, 4) for _ in range(p)] for _ in range(m)]
+            singular = [[0, *row[1:]] for row in a]
+            if m > 1:
+                singular[-1] = singular[0]
+            for rows in (a, singular):
+                for k in range(min(m, p) + 1):
+                    assert _compound(rows, k) == tuple(
+                        tuple(
+                            _bareiss([[rows[i][j] for j in J] for i in I])
+                            for J in combinations(range(p), k)
+                        )
+                        for I in combinations(range(m), k)
+                    ), (rows, k)
 
 
 def test_compound_is_functorial():

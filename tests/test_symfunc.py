@@ -355,6 +355,21 @@ def test_plethysm_too_many_rows_vanishes():
     assert determinant_multiplicity((1,) * 15, 2, budget=30) == (6, 0)
 
 
+def test_plethysm_too_many_rows_skips_the_walk(monkeypatch):
+    # 11 rows against the C(5, 2) = 10 monomials of e_2: the vanishing is
+    # read before any walk, after the budget check (the degree is 22)
+    def walk(*args):
+        raise AssertionError("walked")
+
+    monkeypatch.setattr(symfunc, "_walk", walk)
+    assert plethysm_wedge((1,) * 11, 2, N=5, budget=22) == {}
+    assert plethysm_wedge((1,) * 6, 1, N=5) == {}
+    with pytest.raises(BudgetExceeded):
+        plethysm_wedge((1,) * 11, 2, N=5, budget=21)
+    with pytest.raises(ValueError):
+        plethysm_wedge((1,) * 11, 2, N=5, budget=-1)
+
+
 def test_symmetric_powers_of_wedge_two_even_column_rule():
     for k in range(1, 6):
         exp = plethysm_wedge((k,), 2, N=5)
