@@ -3,8 +3,10 @@ claims behind the family-dimension count.
 
 Tensor products decompose by the Littlewood-Richardson rule applied to the
 U*-parts (rank n) and Q-parts (rank n+1) separately; full exterior columns
-are absorbed into twists.  `verify_vanishing_claims` sweeps a fixed table of
-cohomology vanishing claims and grades each one:
+are absorbed into twists.  Koszul pages need only products with the columns
+wedge^l Q, which the dual Pieri rule (Macdonald I.5.17) reads directly: such
+a product adds a vertical l-strip to the Q-part.  `verify_vanishing_claims`
+sweeps a fixed table of cohomology vanishing claims and grades each one:
 
   pass       the claim holds on the stated domain
   deviation  the computation disagrees with the claim as stated, in a way
@@ -19,9 +21,10 @@ restriction of the normal and tangent pages determinate.
 from __future__ import annotations
 
 from math import comb, factorial, prod
+from operator import sub
 
-from .bwb import Bundle, canonicalize, cohomology
-from .partitions import littlewood_richardson, partitions_of, weyl_dimension
+from .bwb import Bundle, bott, canonicalize, cohomology, to_weight
+from .partitions import littlewood_richardson, weyl_dimension
 
 
 def wedge_q(k: int, n: int, t: int = 0) -> Bundle:
@@ -79,16 +82,45 @@ def cohomology_table(x, n: int) -> dict:
     return {p: d for p, d in sorted(table.items()) if d}
 
 
+def _vertical_strips(q) -> list:
+    """[(mu, l)] for every mu within len(q) rows with mu/q a vertical l-strip;
+    q is weakly decreasing.  Row by row, a row takes a box only below a row
+    that is still longer, so every prefix kept extends."""
+    strips = [((), 0)]
+    for x in q:
+        strips = [
+            (mu + (y,), l + y - x)
+            for mu, l in strips
+            for y in (x, x + 1)
+            if not mu or y <= mu[-1]
+        ]
+    return strips
+
+
 def koszul_page(f, n: int) -> dict:
     """Nonzero cells {(l, q): dim H^q(F (x) wedge^l Q(-2l))} for l in
     [0, n+1], ordered by l, then q; F may be a Bundle or a {Bundle:
     multiplicity} dict.  These are the terms of the Koszul resolution of the
-    zero locus of Q*(2), tensored with F."""
-    page = {}
-    for l in range(n + 2):
-        for q, d in cohomology_table(tensor(f, wedge_q(l, n, -2 * l), n), n).items():
-            page[(l, q)] = d
-    return page
+    zero locus of Q*(2), tensored with F.
+
+    By the dual Pieri rule each summand's product with wedge^l Q is the sum
+    of the S^mu(Q) over the vertical l-strips mu/q, so every cell is one Bott
+    walk on the weight (mu, tail + 2l), tail the U*-and-twist part of the
+    summand's weight.  No summand is canonicalized: a full column of mu, like
+    the one of wedge^{n+1} Q = O(1), shifts the weight by (1^{2n+1}), which
+    changes neither the Bott degree nor the Weyl dimension."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cells = {}
+    for b, m in _as_summands(f).items():
+        w = to_weight(b, n)
+        tail = w[n + 1:]
+        for mu, l in _vertical_strips(w[:n + 1]):
+            res = bott(mu + tuple([x + 2 * l for x in tail]))
+            if res is not None:
+                p, dom = res
+                cells[l, p] = cells.get((l, p), 0) + m * weyl_dimension(dom)
+    return {cell: d for cell, d in sorted(cells.items()) if d}
 
 
 def _low_cells(page, n: int) -> dict:
@@ -102,11 +134,6 @@ def _low_cells(page, n: int) -> dict:
 
 # ------------------------------------------------------------------------
 # the vanishing claims
-
-
-def _box_partitions(max_part, max_rows):
-    for w in range(max_part * max_rows + 1):
-        yield from partitions_of(w, max_part=max_part, max_rows=max_rows)
 
 
 def _twisted_schur_vanishing(n: int) -> dict:
@@ -144,17 +171,20 @@ def _twisted_schur_vanishing(n: int) -> dict:
     dims = {(): 1}
     for a in range(n + 1):
         dims = {
-            r + (x,): num * cross[a][x] * prod([y - x + a - b for b, y in enumerate(r)])
+            r + (x,): num * cross[a][x] * prod(map(sub, r, range(x - a, x)))
             for r, num in dims.items()
             for x in range(r[-1] + 1 if r else n - 1)
         }
     den = prod(factorial(k) for k in range(n, 2 * n + 1))
+    # the keys are the r in ascending lex order: by size, each size read
+    # backwards, they are the box in graded lex order
+    by_size = [[] for _ in range((n - 2) * (n + 1) + 1)]
     for r, num in dims.items():
         dims[r], rem = divmod(num, den)
         assert rem == 0 and dims[r] >= 1
+        by_size[sum(r)].append(r)
     escapes = []
-    for p in _box_partitions(n - 2, n + 1):
-        r = p + (0,) * (n + 1 - len(p))
+    for r in (r for bucket in by_size for r in reversed(bucket)):
         q = tuple([x + 1 for x in r])
         for i in range(1, q[-1] + 1):  # r = q - i^(n+1)
             escapes.append({"q": q, "twist": -i, "degree": 0, "dim": dims[r]})

@@ -104,6 +104,9 @@ def _compound(rows, k: int) -> tuple:
     prefix: no minor is computed twice, and two levels are held at once.
     """
     m, p = len(rows), len(rows[0]) if rows else 0
+    if k == m == p:
+        # the one full-order minor: the level walk would visit every column set
+        return ((_bareiss(rows),),)
     level, cols = {(): (1,)}, [()]
     for j in range(1, k + 1):
         at = {J: y for y, J in enumerate(combinations(range(p), j))}
@@ -168,7 +171,8 @@ def compound(a, k: int) -> tuple:
     lexicographic order.  Functorial: compound(AB) = compound(A) compound(B).
 
     Level j <= k of an m x p matrix costs C(m-k+j, j) C(p, j) minors of j
-    products each, exponential near k = min(m, p): use `det` for one minor."""
+    products each, exponential near k = min(m, p): use `det` for one minor.
+    The full order of a square matrix is that one minor, by one elimination."""
     a = as_matrix(a)
     m, p = len(a), len(a[0]) if a else 0
     if not 0 <= k <= min(m, p):
@@ -208,8 +212,16 @@ def _twist_fixes(s, m) -> bool:
 
     Column j of S M is S (M e_j) and column j of M S^T is M (row j of S), so
     the first unequal column certifies a non-hit; a hit compares them all.
+    Both products run over the nonzeros of S only: a hit costs D nnz(S)
+    products each, D^2 for the identity control.
     """
-    return all(_apply(s, col) == _apply(m, row) for col, row in zip(zip(*m), s))
+    support = [([k for k, x in enumerate(row) if x], [x for x in row if x]) for row in s]
+    for col, (at, vals) in zip(zip(*m), support):
+        left = [sum(map(mul, v, map(col.__getitem__, i))) for i, v in support]
+        right = [sum(map(mul, vals, map(row.__getitem__, at))) for row in m]
+        if left != right:
+            return False
+    return True
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):

@@ -11,10 +11,14 @@ degree 10 which an exhaustive scan shows not to exist (the first witness
 sits at degree 15).  The failure is the recorded result; do not relax it.
 """
 
+import hashlib
+import json
 import random
 import time
 from fractions import Fraction
 from math import comb
+
+import pytest
 
 from cypairs.bundles import Bundle, verify_vanishing_claims
 from cypairs.bwb import cohomology, serre_dual
@@ -91,6 +95,34 @@ def test_claims_suite_at_nine_is_fast():
     assert sweep["name"] == "twisted_schur_vanishing"
     assert sweep["cases"] == 18 * comb(18, 8) == 787644
     assert len(sweep["escapes"]) == comb(18, 7) == 31824
+
+
+# sha256 of json.dumps(..., sort_keys=True) of each report, recorded before
+# the Koszul pages moved to the dual Pieri rule and the sweep's escapes to
+# its prefix table
+CLAIM_DIGESTS = {
+    (5, "verify_vanishing_claims"): "09674e65d9dd7cceed0ac65c1c31afd6f97729774cd9aa032477ef5a53411b2b",
+    (5, "family_dimension"): "9e53afef3f7ac7b14c841e3a1d1d35f2798db365426d4bbfba9f94e8b29bdd81",
+    (6, "verify_vanishing_claims"): "96b06bb9b79bb6a3cd43f7ebc40cc6e913f3ef0d8383f14be8a1de80f578d1f9",
+    (6, "family_dimension"): "b42781352c95aac99d4d256af7acc21cac0c5d8bad3a32463156b455ea08d789",
+    (7, "verify_vanishing_claims"): "a596882cf5c97a54d280a4c51dbb52fe8056b14499a087bd15b1051e4be25eda",
+    (7, "family_dimension"): "6983a621d469e93639a141717280f8a4a4fd843ccac4bd0c217ad3d63c4db1b0",
+    (8, "verify_vanishing_claims"): "fa266760e4c462ea6ccde94a9030ad37655a61602e6d73866be73b22f6454bc5",
+    (8, "family_dimension"): "e889586c73934724d7809cfef90fd281dcb880c235bc79c8bb97c5336e0f8a59",
+}
+
+
+@pytest.mark.parametrize("n, name", sorted(CLAIM_DIGESTS))
+def test_claim_reports_match_recorded_digests(n, name):
+    # budget: 1 second per report
+    start = time.perf_counter()
+    if name == "verify_vanishing_claims":
+        report = verify_vanishing_claims(n)
+    else:
+        report = family_dimension(n, detail=True)
+    assert time.perf_counter() - start < 1.0
+    text = json.dumps(report, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CLAIM_DIGESTS[n, name]
 
 
 def test_l_equivalence_certificates():

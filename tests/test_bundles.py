@@ -1,6 +1,7 @@
 """Tensor decompositions and the vanishing-claims sweep."""
 
 import random
+from collections import Counter
 from functools import lru_cache
 from math import comb
 
@@ -9,14 +10,17 @@ import pytest
 from cypairs.bundles import (
     Bundle,
     _twisted_schur_vanishing,
+    _vertical_strips,
     cohomology_table,
+    koszul_page,
     rank,
     tensor,
     verify_vanishing_claims,
     wedge_q,
 )
 from cypairs.bwb import bott, canonicalize, cohomology, to_weight
-from cypairs.partitions import partitions_of, weyl_dimension
+from cypairs.koszul import family_dimension
+from cypairs.partitions import littlewood_richardson, partitions_of, trim, weyl_dimension
 
 Q = Bundle((), (1,), 0)
 UDUAL = Bundle((1,), (), 0)
@@ -91,6 +95,72 @@ def test_cohomology_table_merges_multiplicities():
     single = cohomology_table(Bundle((1,), (1,), 0), 2)
     double = cohomology_table({Bundle((1,), (1,), 0): 2}, 2)
     assert double == {p: 2 * d for p, d in single.items()}
+
+
+# ------------------------------------------------------------ Koszul pages
+
+
+def reference_koszul_page(f, n):
+    # the page by the general tensor product, kept as the reference: each
+    # column wedge^l Q(-2l) goes through Littlewood-Richardson, canonicalize
+    # and the cohomology table of every summand
+    page = {}
+    for l in range(n + 2):
+        for q, d in cohomology_table(tensor(f, wedge_q(l, n, -2 * l), n), n).items():
+            page[(l, q)] = d
+    return page
+
+
+def test_vertical_strips_are_the_pieri_products():
+    # s_q * e_l = sum of s_mu over the vertical l-strips mu/q, each once
+    for rows in range(1, 6):
+        for w in range(7):
+            for q in partitions_of(w, max_part=3, max_rows=rows):
+                padded = q + (0,) * (rows - len(q))
+                strips = _vertical_strips(padded)
+                assert all(len(mu) == rows for mu, _ in strips)
+                for l in range(rows + 1):
+                    got = Counter(trim(mu) for mu, k in strips if k == l)
+                    assert got == littlewood_richardson(q, (1,) * l, rows), (q, l)
+                assert len(strips) == len(set(strips))
+
+
+def test_koszul_page_matches_tensor_reference_on_claim_pages(monkeypatch):
+    # every page the vanishing claims and the family dimension read, n = 2..8
+    seen = []
+
+    def record(f, n):
+        seen.append((f, n))
+        return koszul_page(f, n)
+
+    monkeypatch.setattr("cypairs.bundles.koszul_page", record)
+    monkeypatch.setattr("cypairs.koszul.koszul_page", record)
+    for n in range(2, 9):
+        verify_vanishing_claims(n)
+        family_dimension(n, detail=True)
+    monkeypatch.undo()
+    assert {n for _, n in seen} == set(range(2, 9))
+    for f, n in seen:
+        assert koszul_page(f, n) == reference_koszul_page(f, n), (f, n)
+
+
+def test_koszul_page_matches_tensor_reference_on_random_bundles():
+    # irreducible bundles, not canonical when a part has full height, and
+    # sums with multiplicities
+    rng = random.Random(20)
+    for _ in range(150):
+        n = rng.randint(1, 5)
+        a, b = random_bundle(rng, n), random_bundle(rng, n)
+        assert koszul_page(a, n) == reference_koszul_page(a, n), (a, n)
+        f = {a: rng.randint(1, 3), b: rng.randint(1, 3)}
+        assert koszul_page(f, n) == reference_koszul_page(f, n), (f, n)
+        f = tensor(a, b, n)
+        assert koszul_page(f, n) == reference_koszul_page(f, n), (f, n)
+
+
+def test_koszul_page_rejects_n_below_one():
+    with pytest.raises(ValueError):
+        koszul_page(Q, 0)
 
 
 # ------------------------------------------------------------- the claims

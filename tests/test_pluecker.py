@@ -98,6 +98,18 @@ def test_compound_edge_orders():
         assert compound(identity(4), k) == identity(len(compound(a, k)))
 
 
+def test_full_order_compound_is_one_elimination():
+    # the level walk would visit every column set of a square matrix at full
+    # order; one elimination returns order 24 well within 1 s
+    start = time.perf_counter()
+    assert compound(identity(24), 24) == ((Fraction(1),),)
+    assert time.perf_counter() - start < 1.0
+    rng = random.Random(181)
+    for d in range(1, 9):
+        for a in (random_matrix(rng, d, d), random_rational_matrix(rng, d)):
+            assert compound(a, d) == ((det(a),),)
+
+
 def test_compound_matches_per_minor_elimination():
     # the level-by-level Laplace compound against one Bareiss elimination
     # per minor, on every shape up to 6 x 6 and every order, including a
@@ -394,6 +406,55 @@ def test_twist_predicate_is_exactly_the_matrix_equation():
             hits += want
             checked += 1
     assert hits >= 40 and checked - hits >= 40
+
+
+def dense_twist_fixes(s, m):
+    # the dense column compare, kept as the reference: S (M e_j) against
+    # M (row j of S), every entry of S multiplied in
+    def apply(a, v):
+        return tuple(sum(x * y for x, y in zip(row, v)) for row in a)
+
+    return all(apply(s, col) == apply(m, row) for col, row in zip(zip(*m), s))
+
+
+def test_twist_predicate_matches_the_dense_compare():
+    # permutation, diagonal (zero rows included) and random sections against
+    # the identity, a diagonal and a random compound; each kind both hits
+    # and misses
+    rng = random.Random(191)
+    outcomes = set()
+    for trial in range(60):
+        big = rng.randint(3, 5)
+        k = rng.randint(1, big - 1)
+        m = _compound([[rng.randint(-3, 3) for _ in range(big)] for _ in range(big)], k)
+        d = len(m)
+        perm = list(range(d))
+        rng.shuffle(perm)
+        if trial % 2:  # an involution: P = P^T
+            perm = list(range(d))
+            for i in range(0, d - 1, 2):
+                perm[i], perm[i + 1] = perm[i + 1], perm[i]
+        x = [[rng.choice((0, 0, 1, -2, 3)) for _ in range(d)] for _ in range(d)]
+        if trial % 3 == 0:  # symmetric
+            x = [[x[i][j] + x[j][i] for j in range(d)] for i in range(d)]
+        diag = [rng.randint(-2, 2) for _ in range(d)]
+        sections = {
+            "permutation": [[int(perm[i] == j) for j in range(d)] for i in range(d)],
+            "diagonal": [[diag[i] if i == j else 0 for j in range(d)] for i in range(d)],
+            "random": x,
+        }
+        maps = (
+            tuple(tuple(int(i == j) for j in range(d)) for i in range(d)),
+            tuple(tuple(i + 1 if i == j else 0 for j in range(d)) for i in range(d)),
+            m,
+        )
+        for kind, s in sections.items():
+            s = tuple(map(tuple, s))
+            for mat in maps:
+                want = dense_twist_fixes(s, mat)
+                assert _twist_fixes(s, mat) is want, (s, mat)
+                outcomes.add((kind, want))
+    assert outcomes == {(kind, hit) for kind in sections for hit in (True, False)}
 
 
 def test_twist_predicate_full_compare_after_agreeing_vectors():
