@@ -212,8 +212,11 @@ def _twist_fixes(s, m) -> bool:
 
     Column j of S M is S (M e_j) and column j of M S^T is M (row j of S), so
     the first unequal column certifies a non-hit; a hit compares them all.
-    Both products run over the nonzeros of S only: a hit costs D nnz(S)
-    products each, D^2 for the identity control.
+    Each call first reads the row support of S, one pass over its D^2
+    entries; both products then run over the nonzeros of S only.  A column
+    costs 2 nnz(S) products, so a dense S refuted at column 0 costs about
+    3 D^2 steps with the support pass, and the identity control D^2 for the
+    pass plus 2 D per column.
     """
     support = [([k for k, x in enumerate(row) if x], [x for x in row if x]) for row in s]
     for col, (at, vals) in zip(zip(*m), support):

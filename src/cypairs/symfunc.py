@@ -213,20 +213,11 @@ def _det_multiplicities(n, w, budget):
     _check_budget(0 if r else n * w, N, budget)
     if r:
         return None, {}
-    return k, _det_table(n, w)
-
-
-@lru_cache(maxsize=None)
-def _det_table(n, w):
-    """The multiplicities of `_det_multiplicities` past its checks, one walk
-    per (n, w) for every caller; the dict is shared, so callers only read it."""
-    N = 2 * n + 1
-    k = n * w // N
     rows = min(w, comb(N, n))
     strips, wedge = _strip_maps(n)
     unit = factorial(n)
     total = _walk(w, (1 << N) - 1 << k, rows, wedge, strips, unit)
-    return _read(total, w, rows, factorial(w) * unit**w)
+    return k, _read(total, w, rows, factorial(w) * unit**w)
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):
@@ -235,8 +226,7 @@ def determinant_multiplicity(lam, n: int, budget: int | None = None):
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
     multiplicity is 0 and k is None.  S^lam(wedge^n V) = 0, and the
     multiplicity is 0, when lam has more rows than e_n has monomials.  Reads
-    lam off every multiplicity of its degree, one walk per degree shared by
-    all calls.
+    lam off every multiplicity of its degree.
     """
     lam = check_partition(lam)
     if n < 1:

@@ -685,23 +685,6 @@ def test_determinant_multiplicity_degree_obstruction():
     assert determinant_multiplicity((3, 1), 2) == (None, 0)
 
 
-def test_single_shape_lookups_share_one_walk():
-    # budget: 1 second for all 164 shapes of size 15 at n = 2 (at most
-    # C(5, 2) = 10 rows): one walk, then reads of the shared table, which
-    # match an uncached walk and the witness the search reads off it
-    symfunc._det_table.cache_clear()
-    shapes = list(partitions_of(15, max_rows=10))
-    assert len(shapes) == 164
-    start = time.perf_counter()
-    got = {lam: determinant_multiplicity(lam, 2, budget=30) for lam in shapes}
-    assert time.perf_counter() - start < 1.0
-    assert symfunc._det_table.cache_info().misses == 1
-    table = symfunc._det_table.__wrapped__(2, 15)
-    assert got == {lam: (6, m) for lam, m in table.items()}
-    assert find_witness(2, 15, budget=30) == ((7, 4, 2, 1, 1), 6, 2)
-    assert table[7, 4, 2, 1, 1] == 2
-
-
 def test_degree_five_multiplicities():
     # the only partition of 5 whose plethysm contains det^2 is (3,1,1)
     hits = {
