@@ -58,11 +58,15 @@ def tensor(x, y, n: int) -> dict:
     """Decomposition of the tensor product into canonical bundles.
 
     Both arguments may be a Bundle or a {Bundle: multiplicity} dict; the
-    result is a {Bundle: multiplicity} dict.
+    result is a {Bundle: multiplicity} dict.  A summand whose partitions are
+    too long for G(n, 2n+1) raises ValueError, as in `canonicalize`.
     """
+    xs, ys = _as_summands(x), _as_summands(y)
+    for b in (*xs, *ys):
+        canonicalize(b, n)
     out = {}
-    for a, ma in _as_summands(x).items():
-        for b, mb in _as_summands(y).items():
+    for a, ma in xs.items():
+        for b, mb in ys.items():
             us = littlewood_richardson(a.u, b.u, n)
             qs = littlewood_richardson(a.q, b.q, n + 1)
             for u, cu in us.items():
@@ -187,8 +191,9 @@ def _twisted_schur_vanishing(n: int) -> dict:
     for r in (r for bucket in by_size for r in reversed(bucket)):
         q = tuple([x + 1 for x in r])
         for i in range(1, q[-1] + 1):  # r = q - i^(n+1)
+            if i > 1:
+                r = tuple([x - 1 for x in r])
             escapes.append({"q": q, "twist": -i, "degree": 0, "dim": dims[r]})
-            r = tuple([x - 1 for x in r])
     return {
         "name": "twisted_schur_vanishing",
         "status": "deviation" if escapes else "pass",

@@ -60,7 +60,12 @@ def _exit_code(result) -> int:
 
 
 def _ints(text: str) -> tuple:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    """A comma list of integers; blank text is the empty list, and a blank
+    field is an error."""
+    fields = text.split(",") if text.strip() else []
+    if not all(x.strip() for x in fields):
+        raise ValueError(f"empty field in the comma list {text!r}")
+    return tuple(int(x) for x in fields)
 
 
 def _bundle_json(b: Bundle, mult: int, n: int) -> dict:

@@ -4,38 +4,42 @@ determinant-multiplicity witness search.
 The character of S^lambda(wedge^n V) for dim V = N is the plethysm s_lambda[e_n]
 in N variables.  Every Schur coefficient of it is read by the characteristic
 map (Macdonald, Symmetric Functions and Hall Polynomials, I.7): s_lambda is the
-sum over rho |- |lambda| of chi^lambda(rho) p_rho / z_rho, and
-p_m[e_n] = sum over sigma |- n of eps_sigma p_(m sigma) / z_sigma.  So the
-coefficient of s_mu in s_lambda[e_n] is
+sum over rho |- |lambda| of chi^lambda(rho) p_rho / z_rho, and p_rho[e_n] is
+the product of the p_m[e_n] over the parts m of rho.  So the coefficient of
+s_mu in s_lambda[e_n] is
 
     sum over rho of chi^lambda(rho) <p_rho[e_n], s_mu> / z_rho.
 
 One walk, `_walk`, computes such sums for every shape at once.  It runs over
 the rho, parts non-increasing, and shares their prefixes: going down, it
 removes the parts one at a time from a start shape and cuts a prefix that
-leaves nothing; coming back up, it adds them to the empty shape.  Both moves
-are border strips on beta-sets held as bitmasks, by the Murnaghan-Nakayama
-rule (Macdonald I.3 and I.7): plain strips give p_m, and strips of sizes
-m*sigma give n! p_m[e_n].  Its two callers differ only in which map goes on
-which side:
+leaves nothing; coming back up, it adds them to the empty shape.  Both maps
+move beads of beta-sets held as bitmasks (Macdonald I.3 and I.7).  p_m moves
+one bead m places: a border strip, signed by the Murnaghan-Nakayama rule.
+p_m[e_n] moves n distinct beads m places at once, each onto a place that is
+empty or was just left by an earlier bead of the set, with the product of
+their strip signs: under Littlewood's m-quotient it is e_n on the m runners
+together, the vertical case of the ribbon Pieri rule (Lascoux, Leclerc and
+Thibon, J. Math. Phys. 38 (1997)).  Every coefficient is +-1, so nothing
+cancels.  The two callers differ only in which map goes on which side:
 
-- `plethysm_wedge` removes plain strips from lambda and adds n! p_m[e_n] on N
+- `plethysm_wedge` removes plain strips from lambda and adds p_m[e_n] on N
   beads, which gives the Schur expansion of s_lambda[e_n] in N variables.
-- `_det_multiplicities` removes n! p_m[e_n] from (k^N) and adds plain strips,
+- `_det_multiplicities` removes p_m[e_n] from (k^N) and adds plain strips,
   which gives the multiplicity of det^k = s_(k^N) in s_lambda[e_n] for every
   lambda of one degree.  s_(k^N) has N rows, so that coefficient is the same
   in N variables as in infinitely many.
 
 At n = 1, e_1 = p_1 and s_lambda[e_1] = s_lambda, which `plethysm_wedge`
-returns without a walk.  Every weight is scaled by |lambda|! n!^|lambda|, so
-the sums are exact integers; a remainder or a negative coefficient contradicts
+returns without a walk.  Every weight is scaled by |lambda|!, so the sums
+are exact integers; a remainder or a negative coefficient contradicts
 Schur positivity and raises.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, prod
 
 from .partitions import check_partition, partitions_of
@@ -61,26 +65,37 @@ def _check_budget(degree, N, budget):
         )
 
 
-def _border_strips(beads, m, grow):
-    """(beads', sign) for every border strip of m boxes added to (grow) or
-    removed from the shape whose beta-set is the bitmask `beads`.
+def _border_strips(beads, m, grow, n=1):
+    """(beads', sign) for every way to move n distinct beads of the bitmask
+    beta-set `beads` m places each, up (grow) or down: the map of p_m[e_n],
+    and of p_m at n = 1 (see the module docstring).
 
-    A shape with at most L rows has the beta-set {lam_i + L - i}.  A strip
-    moves one bead m places to an empty position, with sign -1 to the number
-    of beads it jumps: the Murnaghan-Nakayama rule (Macdonald I.3 and I.7).
-    Strips keep the number of beads, so adding them never gives a shape with
-    more than L rows.
+    A shape with at most L rows has the beta-set {lam_i + L - i}.  One move
+    is a border strip of m boxes, with sign -1 to the number of beads it
+    jumps.  The beads of a set move in turn, from the bottom up when removing
+    and from the top down when adding, so each target is empty or was just
+    left by an earlier bead, and each sign is taken on the beads as the
+    earlier moves left them.  Only beads whose target is free are visited.
+    Moves keep the number of beads, so adding never gives a shape with more
+    than L rows.
     """
     out = []
-    rest = beads
-    while rest:
-        bit = rest & -rest
-        rest ^= bit
-        p = bit.bit_length() - 1
-        q = p + m if grow else p - m
-        if q >= 0 and not beads >> q & 1:
-            jumped = beads >> (min(p, q) + 1) & (1 << (m - 1)) - 1
-            out.append((beads ^ bit ^ 1 << q, -1 if jumped.bit_count() & 1 else 1))
+
+    def move(now, sign, rest, left):
+        # the beads of `rest` whose target is free
+        free = rest & ~(now >> m) if grow else rest & ~(now << m) & ~((1 << m) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
+            jumped = (now & hi - (lo << 1)).bit_count()
+            moved = now ^ lo ^ hi, -sign if jumped & 1 else sign
+            if left == 1:
+                out.append(moved)
+            else:  # the later beads of the set lie beyond this one
+                move(*moved, rest & bit - 1 if grow else rest & -(bit << 1), left - 1)
+
+    move(beads, 1, beads, n)
     return out
 
 
@@ -105,39 +120,21 @@ def _spread(out, terms, images, *args):
 
 
 def _strip_maps(n):
-    """(strips, wedge): the maps (beads, m, grow) -> [(beads', coefficient)]
-    of p_m and of n! p_m[e_n], adding (grow) or removing strips, memoized.
-
-    n! p_m[e_n] is the sum over sigma |- n of eps_sigma (n! / z_sigma)
-    p_(m sigma), so `wedge` moves strips of sizes m*sigma, one part of sigma
-    at a time.
-    """
+    """(strips, wedge): the maps (beads, m, grow) -> [(beads', sign)] of p_m
+    and of p_m[e_n], adding (grow) or removing, memoized for one walk."""
     strips = lru_cache(maxsize=None)(_border_strips)
-    unit = factorial(n)
-    terms = [((-1) ** (n - len(s)) * unit // _z(s), s) for s in partitions_of(n)]
-
-    @lru_cache(maxsize=None)
-    def wedge(beads, m, grow):
-        got = Counter()
-        for c, sigma in terms:
-            moved = {beads: c}
-            for part in sigma:
-                moved = _spread({}, moved, strips, m * part, grow)
-            got.update(moved)
-        return [(b, x) for b, x in got.items() if x]
-
-    return strips, wedge
+    return strips, lru_cache(maxsize=None)(partial(_border_strips, n=n))
 
 
-def _walk(w, start, rows, down, up, unit):
-    """{beta-set on `rows` beads: w! unit^w S}, where S is the sum over
-    rho |- w of <D_rho start, 1> U_rho(empty) / (z_rho unit^len(rho)).
+def _walk(w, start, rows, down, up):
+    """{beta-set on `rows` beads: w! S}, where S is the sum over rho |- w of
+    <D_rho start, 1> U_rho(empty) / z_rho.
 
     D_rho removes the parts of rho from the shape `start` by down(beads, m,
     False), and U_rho adds them to the empty shape by up(beads, m, True);
-    the two maps of one part together carry the factor `unit`.  Going down a
-    prefix, a prefix with nothing left is cut, since every rho it starts adds
-    0.  Coming back up, the parts after the prefix are added to what the
+    one of the two maps is p_m and the other p_m[e_n].  Going down a prefix,
+    a prefix with nothing left is cut, since every rho it starts adds 0.
+    Coming back up, the parts after the prefix are added to what the
     rest of the walk returns.  That side keeps `rows` beads, which drops
     every shape with more rows: a strip never removes a row, so no such
     shape leads to one that fits.
@@ -147,7 +144,7 @@ def _walk(w, start, rows, down, up, unit):
         if not left:
             # terms holds <D_prefix start, 1>, on the empty shape
             (value,) = terms.values()
-            weight = value * unit ** (w - len(prefix)) * (factorial(w) // _z(prefix))
+            weight = value * (factorial(w) // _z(prefix))
             return {(1 << rows) - 1: weight}
         out = {}
         for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
@@ -191,10 +188,8 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
         return {lam: 1}
-    strips, wedge = _strip_maps(n)
-    unit = factorial(n)
-    total = _walk(w, _beads(lam, len(lam)), N, strips, wedge, unit)
-    expansion = _read(total, n * w, N, factorial(w) * unit**w)
+    total = _walk(w, _beads(lam, len(lam)), N, *_strip_maps(n))
+    expansion = _read(total, n * w, N, factorial(w))
     return {mu: c for mu, c in expansion.items() if c}
 
 
@@ -203,7 +198,7 @@ def _det_multiplicities(n, w, budget):
     size w with at most binomial(N, n) rows, dim V = N = 2n+1; (None, {})
     unless N divides n*w.
 
-    The walk removes n! p_m[e_n] from (k^N) and adds plain strips to the
+    The walk removes p_m[e_n] from (k^N) and adds plain strips to the
     empty shape, on min(w, binomial(N, n)) beads: s_lam[e_n] = 0 in N
     variables once lam has more rows than e_n has monomials.
     """
@@ -215,9 +210,8 @@ def _det_multiplicities(n, w, budget):
         return None, {}
     rows = min(w, comb(N, n))
     strips, wedge = _strip_maps(n)
-    unit = factorial(n)
-    total = _walk(w, (1 << N) - 1 << k, rows, wedge, strips, unit)
-    return k, _read(total, w, rows, factorial(w) * unit**w)
+    total = _walk(w, (1 << N) - 1 << k, rows, wedge, strips)
+    return k, _read(total, w, rows, factorial(w))
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):

@@ -81,6 +81,16 @@ def test_tensor_preserves_rank():
         assert got == rank(a, n) * rank(b, n)
 
 
+def test_tensor_rejects_a_summand_too_long_for_the_grassmannian():
+    # as canonicalize does, rather than dropping the summand
+    with pytest.raises(ValueError, match="too long"):
+        tensor(Bundle((1, 1, 1), (), 0), Bundle(), 2)
+    with pytest.raises(ValueError, match="too long"):
+        tensor(Q, {Bundle((), (1,) * 4, 0): 1, Q: 1}, 2)
+    # full columns are fine and are absorbed into the twist
+    assert tensor(Bundle((1, 1), (1, 1, 1), 0), Bundle(), 2) == {Bundle((), (), 2): 1}
+
+
 def test_endomorphism_bundles_are_simple():
     for n in (2, 3):
         end_q = tensor(wedge_q(n, n, -1), Q, n)  # Q* (x) Q

@@ -536,6 +536,8 @@ def test_parse_error_exits_two(capsys):
     ["decompose", "wedgeQ(1, 2, 3)", "--n", "2"],
     ["decompose", "+".join(["O(0)"] * 3100), "--n", "2"],
     ["decompose", "O(1)\n# twisted\n+ Q", "--n", "2"],
+    ["verify", "--n", "2,,3"],
+    ["plethysm", "--lam", "2,,1", "--wedge", "2"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2

@@ -3,7 +3,9 @@
 import random
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations, permutations, product
 from math import comb, factorial, prod
 
@@ -463,7 +465,7 @@ def test_walk_at_n_one_is_schur(w):
     strips, wedge = symfunc._strip_maps(1)
     for lam in partitions_of(w):
         for N in range(1, 5):
-            total = symfunc._walk(w, beta_set(lam, len(lam)), N, strips, wedge, 1)
+            total = symfunc._walk(w, beta_set(lam, len(lam)), N, strips, wedge)
             want = {beta_set(lam, N): factorial(w)} if len(lam) <= N else {}
             assert {b: x for b, x in total.items() if x} == want, (lam, N)
 
@@ -600,6 +602,60 @@ def strip_walk(terms, parts, grow):
     return terms
 
 
+def reference_border_strips(beads, m, grow):
+    """The strip loop that tests every bead for a free target."""
+    out = []
+    rest = beads
+    while rest:
+        bit = rest & -rest
+        rest ^= bit
+        p = bit.bit_length() - 1
+        q = p + m if grow else p - m
+        if q >= 0 and not beads >> q & 1:
+            jumped = beads >> (min(p, q) + 1) & (1 << (m - 1)) - 1
+            out.append((beads ^ bit ^ 1 << q, -1 if jumped.bit_count() & 1 else 1))
+    return out
+
+
+def reference_strip_maps(n):
+    """(strips, wedge): p_m and n! p_m[e_n], the latter as the sum over
+    sigma |- n of eps_sigma (n! / z_sigma) p_(m sigma), moving strips of
+    sizes m*sigma one part of sigma at a time."""
+    strips = lru_cache(maxsize=None)(reference_border_strips)
+    unit = factorial(n)
+    terms = [
+        ((-1) ** (n - len(s)) * unit // centralizer_order(s), s)
+        for s in partitions_of(n)
+    ]
+
+    @lru_cache(maxsize=None)
+    def wedge(beads, m, grow):
+        got = Counter()
+        for c, sigma in terms:
+            moved = {beads: c}
+            for part in sigma:
+                moved = symfunc._spread({}, moved, strips, m * part, grow)
+            got.update(moved)
+        return [(b, x) for b, x in got.items() if x]
+
+    return strips, wedge
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_bead_moves_match_the_sigma_sum(n):
+    # n! times the one-move map of p_m[e_n] is the sigma-sum map, and the
+    # strip map is the all-beads loop, on every bead set within 9 places;
+    # no two moves of one set give the same beta-set
+    strips, wedge = symfunc._strip_maps(n)
+    ref_strips, ref_wedge = reference_strip_maps(n)
+    for m, grow, beads in product(range(1, 7), (False, True), range(1 << 9)):
+        got = wedge(beads, m, grow)
+        assert len({b for b, _ in got}) == len(got)
+        want = dict(ref_wedge(beads, m, grow))
+        assert {b: factorial(n) * x for b, x in got} == want, (beads, m, grow)
+        assert sorted(strips(beads, m, grow)) == sorted(ref_strips(beads, m, grow))
+
+
 @pytest.mark.parametrize("w", range(9))
 def test_border_strip_characters_agree_and_are_orthogonal(w):
     # chi^lam(rho) by adding the strips of rho to the empty shape equals the
@@ -712,13 +768,18 @@ def test_witness_multiplicity_at_degree_fifteen():
 
 @pytest.mark.parametrize(
     "n, degree, want, kostka, seconds",
-    [(4, 9, ((7, 2), 4, 5), 62_524, 2.0), (5, 11, ((11,), 5, 3), 145_895_784, 30.0)],
-    ids=["4-9", "5-11"],
+    [
+        (4, 9, ((7, 2), 4, 5), 62_524, 2.0),
+        (5, 11, ((11,), 5, 3), 145_895_784, 30.0),
+        (6, 13, ((13,), 6, 451), 3_053_753_591_526, 5.0),
+    ],
+    ids=["4-9", "5-11", "6-13"],
 )
 def test_witness_for_n_four_and_five(n, degree, want, kostka, seconds):
-    # budget: 2 seconds at n = 4 and 30 seconds at n = 5; the first witness
-    # sits in the first degree that admits a determinant power, and
-    # (wedge^n V)^{tensor w} gives the Kostka sum K_((N^k),(n^w)) on it
+    # budget: 2 seconds at n = 4, 30 seconds at n = 5 and 5 seconds at
+    # n = 6; the first witness sits in the first degree that admits a
+    # determinant power, and (wedge^n V)^{tensor w} gives the Kostka sum
+    # K_((N^k),(n^w)) on it
     N = 2 * n + 1
     start = time.perf_counter()
     assert find_witness(n, degree, budget=n * degree) == want
