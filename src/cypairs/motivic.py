@@ -12,7 +12,7 @@ cancel; the certificate checks exactly those cancellations.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from itertools import accumulate
 from math import comb
 
 
@@ -100,24 +100,24 @@ class LPoly:
         return "LPoly(" + " + ".join(terms) + ")"
 
 
-@lru_cache(maxsize=None)
-def _gauss(N: int, k: int) -> tuple:
+def _gauss(N: int, k: int) -> list:
     if k < 0 or k > N:
-        return ()
-    if k == 0 or k == N:
-        return (1,)
-    left = _gauss(N - 1, k - 1)
-    right = _gauss(N - 1, k)
-    out = [0] * (k * (N - k) + 1)
-    for e, v in enumerate(left):
-        out[e] += v
-    for e, v in enumerate(right):
-        out[e + k] += v
-    return tuple(out)
+        return []
+    c = [1]
+    for i in range(1, k + 1):
+        a = N - k + i
+        c = [x - y for x, y in zip(c + [0] * a, [0] * a + c)]
+        for r in range(i):
+            c[r::i] = accumulate(c[r::i])
+        if any(c[-i:]):
+            raise ArithmeticError(f"1 - L^{i} does not divide the product")
+        del c[-i:]
+    return c
 
 
 def gaussian_binomial(N: int, k: int) -> LPoly:
-    """The class of G(k, N): Pascal recursion [N k] = [N-1 k-1] + L^k [N-1 k]."""
+    """The class of G(k, N): [N k] = prod_{i=1..k} (1 - L^{N-k+i}) / (1 - L^i),
+    each division by 1 - L^i an exact stride-i prefix sum (top i terms zero)."""
     return LPoly(dict(enumerate(_gauss(N, k))))
 
 

@@ -1,9 +1,12 @@
 """Betti numbers and the middle-cohomology parity argument."""
 
+import json
+import time
 from math import comb
 
 import pytest
 
+from cypairs.cli import main
 from cypairs.hodge import middle_decomposition, poincare_grassmannian
 
 
@@ -43,3 +46,15 @@ def test_parity_sweep():
         assert len(rep["summands"]) == n
         assert rep["parity_discrepancy"] is True
         assert rep["parity_matches_n"]
+
+
+def test_hodge_n_250_answers(capsys):
+    """hodge at n = 250 answers; [501 250] has 62,751 coefficients."""
+    start = time.perf_counter()
+    assert main(["hodge", "--n", "250", "--json"]) == 0
+    rep = json.loads(capsys.readouterr().out)
+    assert len(rep["summands"]) == 250
+    assert all(s["rank"] == 0 for s in rep["summands"])
+    assert rep["isometry_forced"] is True
+    assert sum(poincare_grassmannian(250, 501).values()) == comb(501, 250)
+    assert time.perf_counter() - start < 5.0
