@@ -4,7 +4,7 @@ Subcommands expose the individual engines (cohomology, decomposition,
 restriction, motivic classes, Hodge middle, plethysm, section symmetry) and
 a `verify` driver that runs the whole claims suite per n.  Output is either
 a plain text rendering or, with --json, a byte-deterministic JSON document
-(schema 1); wall time goes to stderr so stdout stays reproducible.  Bundle
+(schema 2); wall time goes to stderr so stdout stays reproducible.  Bundle
 expressions use Python syntax limited to +, *, parentheses and the atoms Q,
 Udual, O(t), wedgeQ(k[,t]) with integer arguments, and are never evaluated.
 
@@ -42,7 +42,7 @@ from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
 from .motivic import l_equivalence_certificate
 from .partitions import check_partition, trim
-from .pluecker import _DEFAULT_TRIALS, symmetry_obstruction_probe
+from .pluecker import _DEFAULT_TRIALS, _MAX_N, symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
@@ -355,13 +355,13 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=cmd_plethysm)
 
     p = sub.add_parser("pluecker", parents=[common], help="section symmetry probe")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_N}")
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_pluecker)
 
     p = sub.add_parser("verify", parents=[common], help="run the claims suite")
-    p.add_argument("--n", default="2,3", help="comma list of sizes")
+    p.add_argument("--n", default="2,3", help=f"comma list of sizes in 2..{_MAX_N}")
     p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
@@ -373,7 +373,7 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        result = {"schema": 1, "command": args.command, **args.handler(args)}
+        result = {"schema": 2, "command": args.command, **args.handler(args)}
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

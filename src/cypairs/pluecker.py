@@ -245,6 +245,9 @@ def _random_invertible(rng, d):
 # `verify` does without flags
 _DEFAULT_TRIALS = 5
 
+# the largest n the probe takes: one n = 7 trial exhausts a 2 GB address space
+_MAX_N = 6
+
 
 def symmetry_obstruction_probe(
     n: int, trials: int = _DEFAULT_TRIALS, seed: int = 0
@@ -258,8 +261,8 @@ def symmetry_obstruction_probe(
     and the gap exhibit the fixed-section condition as nongeneric.  Each
     non-hit is an exact certificate that S M != M S^T for that M.
     """
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if not 1 <= n <= _MAX_N:
+        raise ValueError(f"the probe takes n in 1..{_MAX_N}, not {n}")
     if trials < 1:
         # zero trials would report an obstruction on no evidence at all
         raise ValueError("trials must be >= 1")

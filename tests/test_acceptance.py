@@ -94,20 +94,31 @@ def test_claims_suite_at_nine_is_fast():
     sweep = report["checks"][0]
     assert sweep["name"] == "twisted_schur_vanishing"
     assert sweep["cases"] == 18 * comb(18, 8) == 787644
-    assert len(sweep["escapes"]) == comb(18, 7) == 31824
+    assert sweep["escape_count"] == comb(18, 7) == 31824
 
 
-# sha256 of json.dumps(..., sort_keys=True) of each report, recorded before
-# the Koszul pages moved to the dual Pieri rule and the sweep's escapes to
-# its prefix table
+def test_claims_report_at_ten_is_small():
+    # the sweep reports its rule, count and H^0 total, not its 125,970
+    # escapes one by one
+    report = verify_vanishing_claims(10)
+    assert len(json.dumps(report)) < 4096
+    assert report["checks"][0]["escape_count"] == comb(20, 8) == 125970
+
+
+# sha256 of json.dumps(..., sort_keys=True) of each report.  The
+# family_dimension digests were recorded before the Koszul pages moved to the
+# dual Pieri rule.  The verify_vanishing_claims digests were recorded again
+# when the sweep's escape listing became its rule, count and H^0 total, after
+# checking, for n = 2..10, that the new report is the old one with the
+# listing replaced by its length and its dimension sum
 CLAIM_DIGESTS = {
-    (5, "verify_vanishing_claims"): "09674e65d9dd7cceed0ac65c1c31afd6f97729774cd9aa032477ef5a53411b2b",
+    (5, "verify_vanishing_claims"): "1ae6e3b4b9765e6c790b2fedcd47a6d5d7933d38f6a15cec53d04577c55fa570",
     (5, "family_dimension"): "9e53afef3f7ac7b14c841e3a1d1d35f2798db365426d4bbfba9f94e8b29bdd81",
-    (6, "verify_vanishing_claims"): "96b06bb9b79bb6a3cd43f7ebc40cc6e913f3ef0d8383f14be8a1de80f578d1f9",
+    (6, "verify_vanishing_claims"): "9c8294588748430cd319b1a1856c8216041131f86298901e350bc38923682b64",
     (6, "family_dimension"): "b42781352c95aac99d4d256af7acc21cac0c5d8bad3a32463156b455ea08d789",
-    (7, "verify_vanishing_claims"): "a596882cf5c97a54d280a4c51dbb52fe8056b14499a087bd15b1051e4be25eda",
+    (7, "verify_vanishing_claims"): "8fcbd05d169b4500a91c2c73cfe6b9b52ce2ccd43ce94c6946100b50efaa05a5",
     (7, "family_dimension"): "6983a621d469e93639a141717280f8a4a4fd843ccac4bd0c217ad3d63c4db1b0",
-    (8, "verify_vanishing_claims"): "fa266760e4c462ea6ccde94a9030ad37655a61602e6d73866be73b22f6454bc5",
+    (8, "verify_vanishing_claims"): "3258aeed5a66447371a36dd9f7911e82ae21cacba684408ffced7ef486675848",
     (8, "family_dimension"): "e889586c73934724d7809cfef90fd281dcb880c235bc79c8bb97c5336e0f8a59",
 }
 

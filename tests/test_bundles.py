@@ -187,22 +187,13 @@ def check_by_name(report, name):
     return next(c for c in report["checks"] if c["name"] == name)
 
 
-def test_twisted_schur_escapes_are_full_rows():
-    report = verify_vanishing_claims(3)
-    c = check_by_name(report, "twisted_schur_vanishing")
-    assert c["status"] == "deviation"
-    assert c["escapes"]
-    for e in c["escapes"]:
-        assert len(e["q"]) == 4 and e["q"][-1] >= -e["twist"]
-        assert e["degree"] == 0
-
-
 def box(n):
     # q in the (n+1) x (n-1) box, graded lex
     for w in range((n - 1) * (n + 1) + 1):
         yield from partitions_of(w, max_part=n - 1, max_rows=n + 1)
 
 
+@lru_cache(maxsize=None)
 def twisted_schur_by_cases(n):
     # the per-case sweep kept as the reference: canonicalize, then the Bott
     # walk, for every (q, i)
@@ -217,32 +208,48 @@ def twisted_schur_by_cases(n):
     return cases, escapes
 
 
+def test_twisted_schur_escapes_are_full_rows():
+    # the lemma the sweep's rule states, on the per-case listing: every
+    # escape has n+1 rows, a twist no deeper than its last row, and degree 0
+    for n in range(2, 9):
+        _, escapes = twisted_schur_by_cases(n)
+        assert escapes, n
+        for e in escapes:
+            assert len(e["q"]) == n + 1 and -e["twist"] <= e["q"][-1], (n, e)
+            assert e["degree"] == 0, (n, e)
+    c = check_by_name(verify_vanishing_claims(3), "twisted_schur_vanishing")
+    assert c["status"] == "deviation"
+    assert "n+1 rows" in c["rule"] and "degree 0" in c["rule"]
+
+
 def test_twisted_schur_sweep_matches_per_case_walk():
     for n in range(2, 9):
         got = _twisted_schur_vanishing(n)
-        assert (got["cases"], got["escapes"]) == twisted_schur_by_cases(n), n
+        cases, escapes = twisted_schur_by_cases(n)
+        assert got["cases"] == cases, n
+        assert got["escape_count"] == len(escapes), n
+        assert got["escape_h0_total"] == sum(e["dim"] for e in escapes), n
         # closed forms: the box has C(2n, n-1) partitions and there are 2n
         # twists; the escapes are the r = q - i^(n+1) in the (n+1) x (n-1-i)
         # boxes, summed over i by the hockey stick
         assert got["cases"] == 2 * n * comb(2 * n, n - 1), n
-        assert len(got["escapes"]) == comb(2 * n, n - 2), n
+        assert got["escape_count"] == comb(2 * n, n - 2), n
 
 
 @pytest.mark.parametrize("n", [9, 10])
 def test_twisted_schur_sweep_beyond_the_walk(n):
-    # past the per-case walk's range: the escapes are the (q, i) of the
-    # lemma in box order, each with the Weyl dimension of q - i^(n+1) for
-    # GL(2n+1), and the counts keep their closed forms
+    # past the per-case walk's range the reference is the lemma's listing:
+    # the (q, i) with q of n+1 rows and i <= q_n, each with the Weyl
+    # dimension of q - i^(n+1) for GL(2n+1)
     got = _twisted_schur_vanishing(n)
-    assert got["cases"] == 2 * n * comb(2 * n, n - 1)
-    assert len(got["escapes"]) == comb(2 * n, n - 2)
-    assert [(e["q"], e["twist"]) for e in got["escapes"]] == [
-        (q, -i) for q in box(n) if len(q) == n + 1 for i in range(1, q[-1] + 1)
+    h0_weights = [
+        tuple(x - i for x in q)
+        for q in box(n) if len(q) == n + 1 for i in range(1, q[-1] + 1)
     ]
     dim = lru_cache(maxsize=None)(lambda r: weyl_dimension(r, 2 * n + 1))
-    for e in got["escapes"]:
-        assert e["degree"] == 0
-        assert e["dim"] == dim(tuple(x + e["twist"] for x in e["q"])), e
+    assert got["cases"] == 2 * n * comb(2 * n, n - 1)
+    assert got["escape_count"] == len(h0_weights) == comb(2 * n, n - 2)
+    assert got["escape_h0_total"] == sum(map(dim, h0_weights))
 
 
 def test_twisted_schur_collision_interval():

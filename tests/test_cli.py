@@ -293,7 +293,7 @@ def test_chain_length_does_not_depend_on_the_callers_stack(depth):
 def test_bwb_command(capsys):
     code, out = run_json(capsys, ["bwb", "--n", "2", "--twist", "-5"])
     assert code == 0
-    assert out["schema"] == 1
+    assert out["schema"] == 2
     assert out["groups"] == [{"degree": 6, "weight": [2, 2, 2, 2, 2], "dim": 1}]
     assert out["euler"] == 1
     code, out = run_json(capsys, ["bwb", "--n", "2", "--q", "1"])
@@ -377,7 +377,7 @@ def test_probe_default_is_the_command_default(capsys):
     # the library and the command share one default trial count
     code, out = run_json(capsys, ["pluecker", "--n", "2"])
     assert code == 0
-    assert out.pop("schema") == 1 and out.pop("command") == "pluecker"
+    assert out.pop("schema") == 2 and out.pop("command") == "pluecker"
     assert out.pop("status") == "assumption"
     assert symmetry_obstruction_probe(2, seed=0) == out
 
@@ -443,7 +443,7 @@ def test_claim_subcommands_print_the_verify_detail(capsys):
                 flags = probe_flags if claim == "symmetry_obstruction" else []
                 code, out = run_json(capsys, argv + flags + ["--n", str(n)])
                 assert code == 0
-                assert out.pop("schema") == 1 and out.pop("command") == argv[0]
+                assert out.pop("schema") == 2 and out.pop("command") == argv[0]
                 out.pop("action", None)
                 case = cases[(n, claim)]
                 assert out.pop("status") == case["status"], (n, claim, flags)
@@ -545,6 +545,24 @@ def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("argv", [
+    ["pluecker", "--n", "8", "--trials", "1"],
+    ["verify", "--n", "2,8"],
+])
+def test_probe_refuses_sizes_past_its_range(argv):
+    # one n = 8 trial would run for more than ten minutes: the refusal must
+    # come before the probe draws anything
+    proc = _run_cli(*argv)
+    try:
+        out, err = proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+    assert proc.returncode == 2
+    assert out == b""
+    (line,) = err.decode().splitlines()
+    assert line.startswith("error: ")
 
 
 def test_arithmetic_error_exits_two_with_one_line(capsys, monkeypatch):
