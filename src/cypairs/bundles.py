@@ -2,8 +2,9 @@
 claims behind the family-dimension count.
 
 Tensor products decompose by the Littlewood-Richardson rule applied to the
-U*-parts (rank n) and Q-parts (rank n+1) separately; full exterior columns
-are absorbed into twists.  Koszul pages need only products with the columns
+U*-parts (rank n) and Q-parts (rank n+1) separately, its coefficients read
+by the characteristic-map walk of `partitions`; full exterior columns are
+absorbed into twists.  Koszul pages need only products with the columns
 wedge^l Q, which the dual Pieri rule (Macdonald I.5.17) reads directly: such
 a product adds a vertical l-strip to the Q-part.  `verify_vanishing_claims`
 sweeps a fixed table of cohomology vanishing claims and grades each one:

@@ -270,6 +270,9 @@ def run_suite(ns, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
     """One case per (claim, n): the vanishing claims table, then `CLAIMS`."""
     if not ns:
         raise ValueError("no sizes given; --n takes a comma list such as 2,3")
+    # a bad size late in the list must not cost the work before it
+    if not all(2 <= n <= _MAX_N for n in ns):
+        raise ValueError(f"verify takes n in 2..{_MAX_N}, not {list(ns)}")
     cases = []
     for n in ns:
         for check in verify_vanishing_claims(n)["checks"]:

@@ -1,14 +1,35 @@
-"""Integer partitions, dominant GL weights, and Littlewood-Richardson coefficients.
+"""Integer partitions, dominant GL weights, and the characteristic-map walk
+that reads every Schur coefficient of the package.
 
 Partitions are plain tuples of non-negative integers, weakly decreasing, with
 trailing zeros trimmed (the empty tuple is the unique partition of 0).  Weights
 are plain tuples of integers of a fixed length (the rank); they may have
 negative entries but must be weakly decreasing wherever dominance is required.
 Everything here is exact integer arithmetic.
+
+Schur coefficients are read by the characteristic map (Macdonald, Symmetric
+Functions and Hall Polynomials, I.7): s_b is the sum over rho |- |b| of
+chi^b(rho) p_rho / z_rho.  So the coefficient of s_mu in s_a s_b is
+
+    sum over rho of chi^b(rho) <p_rho s_a, s_mu> / z_rho,
+
+and `symfunc` reads plethysms the same way, with p_rho[e_n] in place of
+p_rho s_a.  One walk, `_walk`, computes such sums for every shape at once.
+It runs over the rho, parts non-increasing, and shares their prefixes: going
+down, it removes the parts one at a time from a start shape and cuts a
+prefix that leaves nothing; coming back up, it adds them to an origin shape.
+Both maps move beads of beta-sets held as bitmasks (Macdonald I.3 and I.7):
+p_m moves one bead m places, a border strip signed by the Murnaghan-Nakayama
+rule.  `littlewood_richardson` removes plain strips from b, which gives
+chi^b(rho), and adds plain strips to a, which gives p_rho s_a.  The walk
+scales every weight by w!, for the w boxes it removes, so the sums are exact
+integers; a remainder or a negative coefficient contradicts Schur positivity
+and raises.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from math import factorial, prod
 
 
@@ -111,74 +132,120 @@ def weyl_dimension(w, rank: int | None = None) -> int:
     return q
 
 
+def _border_strips(beads, m, grow, n=1):
+    """(beads', sign) for every way to move n distinct beads of the bitmask
+    beta-set `beads` m places each, up (grow) or down: the map of p_m[e_n]
+    (see the `symfunc` docstring), and of p_m at n = 1.
+
+    A shape with at most L rows has the beta-set {lam_i + L - i}.  One move
+    is a border strip of m boxes, with sign -1 to the number of beads it
+    jumps.  The beads of a set move in turn, from the bottom up when removing
+    and from the top down when adding, so each target is empty or was just
+    left by an earlier bead, and each sign is taken on the beads as the
+    earlier moves left them.  Only beads whose target is free are visited.
+    Moves keep the number of beads, so adding never gives a shape with more
+    than L rows.
+    """
+    out = []
+
+    def move(now, sign, rest, left):
+        # the beads of `rest` whose target is free
+        free = rest & ~(now >> m) if grow else rest & ~(now << m) & ~((1 << m) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
+            jumped = (now & hi - (lo << 1)).bit_count()
+            moved = now ^ lo ^ hi, -sign if jumped & 1 else sign
+            if left == 1:
+                out.append(moved)
+            else:  # the later beads of the set lie beyond this one
+                move(*moved, rest & bit - 1 if grow else rest & -(bit << 1), left - 1)
+
+    move(beads, 1, beads, n)
+    return out
+
+
+def _z(parts):
+    """z_rho: the order of the centralizer of a permutation of cycle type rho."""
+    return prod(i**m * factorial(m) for i, m in Counter(parts).items())
+
+
+def _beads(lam, rows):
+    """The beta-set of lam on `rows` beads, as a bitmask."""
+    padded = lam + (0,) * (rows - len(lam))
+    return sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
+
+
+def _spread(out, terms, images, *args):
+    """Adds to `out` the image of `terms` under the linear map that sends
+    each shape b to images(b, *args); returns `out`."""
+    for b, x in terms.items():
+        for b2, y in images(b, *args):
+            out[b2] = out.get(b2, 0) + x * y
+    return out
+
+
+def _walk(w, start, origin, down, up):
+    """{beta-set: w! S}, where S is the sum over rho |- w of
+    <D_rho start, 1> U_rho(origin) / z_rho.
+
+    D_rho removes the parts of rho from the shape `start` by down(beads, m,
+    False), and U_rho adds them to the beta-set `origin` by up(beads, m,
+    True); each map is p_m or p_m[e_n].  Going down a prefix, a prefix with
+    nothing left is cut, since every rho it starts adds 0.  Coming back up,
+    the parts after the prefix are added to what the rest of the walk
+    returns.  That side keeps the beads of `origin`, which drops every shape
+    with more rows: a strip never removes a row, so no such shape leads to
+    one that fits.
+    """
+
+    def visit(prefix, left, terms):
+        if not left:
+            # terms holds <D_prefix start, 1>, on the empty shape
+            (value,) = terms.values()
+            weight = value * (factorial(w) // _z(prefix))
+            return {origin: weight}
+        out = {}
+        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
+            below = {b: x for b, x in _spread({}, terms, down, m, False).items() if x}
+            if below:
+                _spread(out, visit(prefix + (m,), left - m, below), up, m, True)
+        return out
+
+    return visit((), w, {start: 1})
+
+
+def _read(total, size, rows, scale):
+    """{mu: coefficient} for every mu |- size with at most `rows` rows, read
+    off a walk's `total` scaled by `scale`; every coefficient is a
+    multiplicity, so a remainder or a negative value raises."""
+    out = {}
+    for mu in partitions_of(size, max_rows=rows):
+        c, rest = divmod(total.get(_beads(mu, rows), 0), scale)
+        if rest or c < 0:
+            raise AssertionError(f"coefficient {c} + {rest}/{scale} at {mu}")
+        out[mu] = c
+    return out
+
+
 def littlewood_richardson(a, b, rank: int) -> dict[tuple, int]:
     """Decompose s_a * s_b into Schur functions with at most `rank` rows.
 
-    Returns {mu: c^mu_{a,b}} with every coefficient positive.  Coefficients are
-    computed by enumerating Littlewood-Richardson skew tableaux of shape mu/a
-    and content b: rows weakly increase, columns strictly increase, and the
-    reverse reading word (right to left, top to bottom) is a lattice word.
-    Partitions mu with more than `rank` rows are discarded.
+    Returns {mu: c^mu_{a,b}} in graded lex order, with every coefficient
+    positive.  The factors are swapped so that b has fewer boxes, since
+    c^mu_{a,b} = c^mu_{b,a} and the walk runs over the rho |- |b|; it adds
+    strips to a on `rank` beads, which drops every mu with more rows.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")
     a = check_partition(a)
     b = check_partition(b)
-    if not b:
-        return {a: 1} if len(a) <= rank else {}
-    if not a:
-        return {b: 1} if len(b) <= rank else {}
-    out: dict[tuple, int] = {}
-    total = weight(a) + weight(b)
-    max_rows = min(rank, len(a) + len(b))
-    # mu contains a; the first row of mu/a holds only 1s (its last cell
-    # starts the lattice word), at most b_1 of them
-    for mu in partitions_of(total, max_part=a[0] + b[0], max_rows=max_rows):
-        if len(mu) >= len(a) and all(m >= x for m, x in zip(mu, a)):
-            c = _count_lr_fillings(mu, a, b)
-            if c:
-                out[mu] = c
-    return out
-
-
-def _count_lr_fillings(mu, a, b) -> int:
-    """Number of LR skew tableaux of shape mu/a with content b."""
-    rows = len(mu)
-    a = a + (0,) * (rows - len(a))
-    # cells of the skew shape in reverse-reading-word order: every constraint
-    # (row-weak left neighbor, column-strict upper neighbor, lattice prefix)
-    # only looks at cells already placed in this order
-    cells = []
-    for i in range(rows):
-        for j in range(mu[i] - 1, a[i] - 1, -1):
-            cells.append((i, j))
-    nvals = len(b)
-    grid = {}
-    counts = [0] * (nvals + 1)
-    found = 0
-
-    def place(idx):
-        nonlocal found
-        if idx == len(cells):
-            found += 1
-            return
-        i, j = cells[idx]
-        lo = 1
-        hi = nvals
-        if (i, j + 1) in grid:
-            hi = min(hi, grid[(i, j + 1)])  # row weakly increases
-        if (i - 1, j) in grid:
-            lo = max(lo, grid[(i - 1, j)] + 1)  # column strictly increases
-        for v in range(lo, hi + 1):
-            if counts[v] >= b[v - 1]:
-                continue
-            if v > 1 and counts[v] >= counts[v - 1]:
-                continue  # lattice condition on the reverse reading word
-            counts[v] += 1
-            grid[(i, j)] = v
-            place(idx + 1)
-            del grid[(i, j)]
-            counts[v] -= 1
-
-    place(0)
-    return found
+    if len(a) > rank or len(b) > rank:
+        return {}
+    if weight(a) < weight(b):
+        a, b = b, a
+    w = weight(b)
+    total = _walk(w, _beads(b, len(b)), _beads(a, rank), _border_strips, _border_strips)
+    product = _read(total, weight(a) + w, rank, factorial(w))
+    return {mu: c for mu, c in product.items() if c}

@@ -2,26 +2,19 @@
 determinant-multiplicity witness search.
 
 The character of S^lambda(wedge^n V) for dim V = N is the plethysm s_lambda[e_n]
-in N variables.  Every Schur coefficient of it is read by the characteristic
-map (Macdonald, Symmetric Functions and Hall Polynomials, I.7): s_lambda is the
-sum over rho |- |lambda| of chi^lambda(rho) p_rho / z_rho, and p_rho[e_n] is
-the product of the p_m[e_n] over the parts m of rho.  So the coefficient of
-s_mu in s_lambda[e_n] is
+in N variables.  p_rho[e_n] is the product of the p_m[e_n] over the parts m
+of rho, so by the characteristic map the coefficient of s_mu in s_lambda[e_n]
+is
 
-    sum over rho of chi^lambda(rho) <p_rho[e_n], s_mu> / z_rho.
+    sum over rho of chi^lambda(rho) <p_rho[e_n], s_mu> / z_rho,
 
-One walk, `_walk`, computes such sums for every shape at once.  It runs over
-the rho, parts non-increasing, and shares their prefixes: going down, it
-removes the parts one at a time from a start shape and cuts a prefix that
-leaves nothing; coming back up, it adds them to the empty shape.  Both maps
-move beads of beta-sets held as bitmasks (Macdonald I.3 and I.7).  p_m moves
-one bead m places: a border strip, signed by the Murnaghan-Nakayama rule.
-p_m[e_n] moves n distinct beads m places at once, each onto a place that is
-empty or was just left by an earlier bead of the set, with the product of
-their strip signs: under Littlewood's m-quotient it is e_n on the m runners
-together, the vertical case of the ribbon Pieri rule (Lascoux, Leclerc and
-Thibon, J. Math. Phys. 38 (1997)).  Every coefficient is +-1, so nothing
-cancels.  The two callers differ only in which map goes on which side:
+which the walk of `partitions` reads for every shape at once.  p_m[e_n]
+moves n distinct beads m places at once, each onto a place that is empty or
+was just left by an earlier bead of the set, with the product of their strip
+signs: under Littlewood's m-quotient it is e_n on the m runners together,
+the vertical case of the ribbon Pieri rule (Lascoux, Leclerc and Thibon,
+J. Math. Phys. 38 (1997)).  Every coefficient is +-1, so nothing cancels.
+The two callers differ only in which map goes on which side:
 
 - `plethysm_wedge` removes plain strips from lambda and adds p_m[e_n] on N
   beads, which gives the Schur expansion of s_lambda[e_n] in N variables.
@@ -31,18 +24,15 @@ cancels.  The two callers differ only in which map goes on which side:
   in N variables as in infinitely many.
 
 At n = 1, e_1 = p_1 and s_lambda[e_1] = s_lambda, which `plethysm_wedge`
-returns without a walk.  Every weight is scaled by |lambda|!, so the sums
-are exact integers; a remainder or a negative coefficient contradicts
-Schur positivity and raises.
+returns without a walk.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache, partial
-from math import comb, factorial, prod
+from math import comb, factorial
 
-from .partitions import check_partition, partitions_of
+from .partitions import _beads, _border_strips, _read, _walk, check_partition
 
 
 class BudgetExceeded(Exception):
@@ -65,108 +55,11 @@ def _check_budget(degree, N, budget):
         )
 
 
-def _border_strips(beads, m, grow, n=1):
-    """(beads', sign) for every way to move n distinct beads of the bitmask
-    beta-set `beads` m places each, up (grow) or down: the map of p_m[e_n],
-    and of p_m at n = 1 (see the module docstring).
-
-    A shape with at most L rows has the beta-set {lam_i + L - i}.  One move
-    is a border strip of m boxes, with sign -1 to the number of beads it
-    jumps.  The beads of a set move in turn, from the bottom up when removing
-    and from the top down when adding, so each target is empty or was just
-    left by an earlier bead, and each sign is taken on the beads as the
-    earlier moves left them.  Only beads whose target is free are visited.
-    Moves keep the number of beads, so adding never gives a shape with more
-    than L rows.
-    """
-    out = []
-
-    def move(now, sign, rest, left):
-        # the beads of `rest` whose target is free
-        free = rest & ~(now >> m) if grow else rest & ~(now << m) & ~((1 << m) - 1)
-        while free:
-            bit = free & -free
-            free ^= bit
-            lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
-            jumped = (now & hi - (lo << 1)).bit_count()
-            moved = now ^ lo ^ hi, -sign if jumped & 1 else sign
-            if left == 1:
-                out.append(moved)
-            else:  # the later beads of the set lie beyond this one
-                move(*moved, rest & bit - 1 if grow else rest & -(bit << 1), left - 1)
-
-    move(beads, 1, beads, n)
-    return out
-
-
-def _z(parts):
-    """z_rho: the order of the centralizer of a permutation of cycle type rho."""
-    return prod(i**m * factorial(m) for i, m in Counter(parts).items())
-
-
-def _beads(lam, rows):
-    """The beta-set of lam on `rows` beads, as a bitmask."""
-    padded = lam + (0,) * (rows - len(lam))
-    return sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
-
-
-def _spread(out, terms, images, *args):
-    """Adds to `out` the image of `terms` under the linear map that sends
-    each shape b to images(b, *args); returns `out`."""
-    for b, x in terms.items():
-        for b2, y in images(b, *args):
-            out[b2] = out.get(b2, 0) + x * y
-    return out
-
-
 def _strip_maps(n):
     """(strips, wedge): the maps (beads, m, grow) -> [(beads', sign)] of p_m
     and of p_m[e_n], adding (grow) or removing, memoized for one walk."""
     strips = lru_cache(maxsize=None)(_border_strips)
     return strips, lru_cache(maxsize=None)(partial(_border_strips, n=n))
-
-
-def _walk(w, start, rows, down, up):
-    """{beta-set on `rows` beads: w! S}, where S is the sum over rho |- w of
-    <D_rho start, 1> U_rho(empty) / z_rho.
-
-    D_rho removes the parts of rho from the shape `start` by down(beads, m,
-    False), and U_rho adds them to the empty shape by up(beads, m, True);
-    one of the two maps is p_m and the other p_m[e_n].  Going down a prefix,
-    a prefix with nothing left is cut, since every rho it starts adds 0.
-    Coming back up, the parts after the prefix are added to what the
-    rest of the walk returns.  That side keeps `rows` beads, which drops
-    every shape with more rows: a strip never removes a row, so no such
-    shape leads to one that fits.
-    """
-
-    def visit(prefix, left, terms):
-        if not left:
-            # terms holds <D_prefix start, 1>, on the empty shape
-            (value,) = terms.values()
-            weight = value * (factorial(w) // _z(prefix))
-            return {(1 << rows) - 1: weight}
-        out = {}
-        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
-            below = {b: x for b, x in _spread({}, terms, down, m, False).items() if x}
-            if below:
-                _spread(out, visit(prefix + (m,), left - m, below), up, m, True)
-        return out
-
-    return visit((), w, {start: 1})
-
-
-def _read(total, size, rows, scale):
-    """{mu: coefficient} for every mu |- size with at most `rows` rows, read
-    off a walk's `total` scaled by `scale`; every coefficient is a
-    multiplicity, so a remainder or a negative value raises."""
-    out = {}
-    for mu in partitions_of(size, max_rows=rows):
-        c, rest = divmod(total.get(_beads(mu, rows), 0), scale)
-        if rest or c < 0:
-            raise AssertionError(f"coefficient {c} + {rest}/{scale} at {mu}")
-        out[mu] = c
-    return out
 
 
 def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
@@ -188,7 +81,7 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
         return {lam: 1}
-    total = _walk(w, _beads(lam, len(lam)), N, *_strip_maps(n))
+    total = _walk(w, _beads(lam, len(lam)), _beads((), N), *_strip_maps(n))
     expansion = _read(total, n * w, N, factorial(w))
     return {mu: c for mu, c in expansion.items() if c}
 
@@ -210,7 +103,7 @@ def _det_multiplicities(n, w, budget):
         return None, {}
     rows = min(w, comb(N, n))
     strips, wedge = _strip_maps(n)
-    total = _walk(w, (1 << N) - 1 << k, rows, wedge, strips)
+    total = _walk(w, (1 << N) - 1 << k, _beads((), rows), wedge, strips)
     return k, _read(total, w, rows, factorial(w))
 
 
@@ -239,15 +132,13 @@ def find_witness(n: int, degree_bound: int, budget: int | None = None):
     """
     if n < 2:
         raise ValueError("witness search needs n >= 2")
-    M = comb(2 * n + 1, n)
     for w in range(1, degree_bound + 1):
         k, mults = _det_multiplicities(n, w, budget)
         if k is None:
             continue  # no determinant power can occur in this degree
-        # graded lex is the order of partitions_of, not that of the dict
-        for lam in partitions_of(w, max_rows=M):
-            if mults[lam] >= 2:
-                return lam, k, mults[lam]
+        for lam, mult in mults.items():
+            if mult >= 2:
+                return lam, k, mult
     return None
 
 

@@ -565,6 +565,28 @@ def test_probe_refuses_sizes_past_its_range(argv):
     assert line.startswith("error: ")
 
 
+@pytest.mark.parametrize("sizes", ["2,3,4,5,8", "2,1", "1,3"])
+def test_verify_checks_every_size_before_any_claim(capsys, monkeypatch, sizes):
+    # a bad size late in the list is refused before the first case runs
+    ran = []
+
+    def record(name):
+        def claim(*args):
+            ran.append(name)
+            raise AssertionError(f"{name} ran")
+        return claim
+
+    monkeypatch.setattr("cypairs.cli.verify_vanishing_claims", record("vanishing"))
+    for name in CLAIMS:
+        monkeypatch.setitem(CLAIMS, name, record(name))
+    assert main(["verify", "--n", sizes]) == 2
+    captured = capsys.readouterr()
+    assert ran == []
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert captured.err.count("\n") == 1
+
+
 def test_arithmetic_error_exits_two_with_one_line(capsys, monkeypatch):
     # an ArithmeticError outside the claims table is a stray error, not a status
     def stray(b, n):

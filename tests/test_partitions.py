@@ -8,6 +8,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from cypairs.partitions import (
+    check_partition,
     conjugate,
     is_partition,
     littlewood_richardson,
@@ -140,7 +141,9 @@ def test_lr_rank_cutoff():
 
 
 def test_lr_symmetry_and_bilinearity_small():
-    # exhaustive, so mu_1 = a_1 + b_1 (the edge of the candidate bound) occurs
+    # exhaustive, so mu_1 = a_1 + b_1 (the widest shape of a product) occurs;
+    # the walk swaps the factors, so the symmetry only tests |a| = |b| and
+    # the tableau reference below is the guard
     pool = [p for w in range(6) for p in partitions_of(w)]
     for a, b, rank in itertools.product(pool, pool, range(1, 8)):
         dec = littlewood_richardson(a, b, rank)
@@ -151,6 +154,120 @@ def test_lr_symmetry_and_bilinearity_small():
             lhs = weyl_dimension(a, rank=rank) * weyl_dimension(b, rank=rank)
             rhs = sum(c * weyl_dimension(mu, rank=rank) for mu, c in dec.items())
             assert lhs == rhs
+
+
+# the tableau count that computed littlewood_richardson before the
+# characteristic-map walk, kept as the reference
+def tableau_littlewood_richardson(a, b, rank: int) -> dict[tuple, int]:
+    """Decompose s_a * s_b into Schur functions with at most `rank` rows.
+
+    Returns {mu: c^mu_{a,b}} with every coefficient positive.  Coefficients are
+    computed by enumerating Littlewood-Richardson skew tableaux of shape mu/a
+    and content b: rows weakly increase, columns strictly increase, and the
+    reverse reading word (right to left, top to bottom) is a lattice word.
+    Partitions mu with more than `rank` rows are discarded.
+    """
+    if rank < 1:
+        raise ValueError("rank must be >= 1")
+    a = check_partition(a)
+    b = check_partition(b)
+    if not b:
+        return {a: 1} if len(a) <= rank else {}
+    if not a:
+        return {b: 1} if len(b) <= rank else {}
+    out: dict[tuple, int] = {}
+    total = weight(a) + weight(b)
+    max_rows = min(rank, len(a) + len(b))
+    # mu contains a; the first row of mu/a holds only 1s (its last cell
+    # starts the lattice word), at most b_1 of them
+    for mu in partitions_of(total, max_part=a[0] + b[0], max_rows=max_rows):
+        if len(mu) >= len(a) and all(m >= x for m, x in zip(mu, a)):
+            c = _count_lr_fillings(mu, a, b)
+            if c:
+                out[mu] = c
+    return out
+
+
+def _count_lr_fillings(mu, a, b) -> int:
+    """Number of LR skew tableaux of shape mu/a with content b."""
+    rows = len(mu)
+    a = a + (0,) * (rows - len(a))
+    # cells of the skew shape in reverse-reading-word order: every constraint
+    # (row-weak left neighbor, column-strict upper neighbor, lattice prefix)
+    # only looks at cells already placed in this order
+    cells = []
+    for i in range(rows):
+        for j in range(mu[i] - 1, a[i] - 1, -1):
+            cells.append((i, j))
+    nvals = len(b)
+    grid = {}
+    counts = [0] * (nvals + 1)
+    found = 0
+
+    def place(idx):
+        nonlocal found
+        if idx == len(cells):
+            found += 1
+            return
+        i, j = cells[idx]
+        lo = 1
+        hi = nvals
+        if (i, j + 1) in grid:
+            hi = min(hi, grid[(i, j + 1)])  # row weakly increases
+        if (i - 1, j) in grid:
+            lo = max(lo, grid[(i - 1, j)] + 1)  # column strictly increases
+        for v in range(lo, hi + 1):
+            if counts[v] >= b[v - 1]:
+                continue
+            if v > 1 and counts[v] >= counts[v - 1]:
+                continue  # lattice condition on the reverse reading word
+            counts[v] += 1
+            grid[(i, j)] = v
+            place(idx + 1)
+            del grid[(i, j)]
+            counts[v] -= 1
+
+    place(0)
+    return found
+
+
+def test_lr_matches_the_tableau_count():
+    # every (a, b, rank) with |a|, |b| <= 6, |a| + |b| <= 9 and rank <= 7,
+    # key order included
+    pool = [p for w in range(7) for p in partitions_of(w)]
+    cases = 0
+    for a, b in itertools.product(pool, pool):
+        if weight(a) + weight(b) > 9:
+            continue
+        for rank in range(1, 8):
+            got = littlewood_richardson(a, b, rank)
+            assert repr(got) == repr(tableau_littlewood_richardson(a, b, rank)), (a, b, rank)
+            cases += 1
+    assert cases == 3262
+
+
+@pytest.mark.parametrize("a, b, rank, want", [
+    ((), (), 1, {(): 1}),
+    ((2, 1), (), 2, {(2, 1): 1}),
+    ((), (3, 3, 1), 3, {(3, 3, 1): 1}),
+    ((1, 1, 1), (), 2, {}),
+    ((1, 1, 1), (2,), 2, {}),
+    ((2,), (1, 1, 1), 2, {}),
+    ((3,), (2,), 1, {(5,): 1}),
+    ((2, 1), (1,), 1, {}),
+    ((4, 2), (3, 1), 2, {(7, 3): 1, (6, 4): 1, (5, 5): 1}),
+])
+def test_lr_edge_cases(a, b, rank, want):
+    got = littlewood_richardson(a, b, rank)
+    assert got == want
+    assert repr(got) == repr(tableau_littlewood_richardson(a, b, rank))
+
+
+def test_lr_rejects_bad_input():
+    with pytest.raises(ValueError):
+        littlewood_richardson((1,), (1,), 0)
+    with pytest.raises(ValueError):
+        littlewood_richardson((1, 2), (1,), 3)
 
 
 def test_partitions_of_graded_lex_order():

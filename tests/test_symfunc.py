@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cypairs import symfunc
+from cypairs import partitions, symfunc
 from cypairs.partitions import conjugate, partitions_of, trim, weyl_dimension
 from cypairs.symfunc import (
     BudgetExceeded,
@@ -465,7 +465,7 @@ def test_walk_at_n_one_is_schur(w):
     strips, wedge = symfunc._strip_maps(1)
     for lam in partitions_of(w):
         for N in range(1, 5):
-            total = symfunc._walk(w, beta_set(lam, len(lam)), N, strips, wedge)
+            total = symfunc._walk(w, beta_set(lam, len(lam)), (1 << N) - 1, strips, wedge)
             want = {beta_set(lam, N): factorial(w)} if len(lam) <= N else {}
             assert {b: x for b, x in total.items() if x} == want, (lam, N)
 
@@ -634,7 +634,7 @@ def reference_strip_maps(n):
         for c, sigma in terms:
             moved = {beads: c}
             for part in sigma:
-                moved = symfunc._spread({}, moved, strips, m * part, grow)
+                moved = partitions._spread({}, moved, strips, m * part, grow)
             got.update(moved)
         return [(b, x) for b, x in got.items() if x]
 
