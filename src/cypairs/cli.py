@@ -41,11 +41,15 @@ from .bwb import canonicalize, cohomology
 from .hodge import middle_decomposition
 from .koszul import family_dimension, restricted_cohomology
 from .motivic import l_equivalence_certificate
-from .partitions import check_partition, trim
+from .partitions import check_partition
 from .pluecker import _DEFAULT_TRIALS, _MAX_N, symmetry_obstruction_probe
 from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
+
+# the largest n each command takes: about 2 s or less in a fresh process on
+# 2 vCPUs, where n + 50 takes two to three times as long (see the README)
+_MAX_SIZE = {"bwb": 200, "decompose": 200, "koszul": 150, "motivic": 150, "hodge": 250}
 
 
 def _exit_code(result) -> int:
@@ -255,7 +259,7 @@ def cmd_plethysm(args) -> dict:
     # det^k = s_(k^N) sits in degree n*|lam| = kN
     degree = args.wedge * sum(lam)
     power = None if degree % N else degree // N
-    mult = 0 if power is None else expansion.get(trim((power,) * N), 0)
+    mult = 0 if power is None else expansion.get((power,) * N if power else (), 0)
     out["status"] = "pass"
     out["expansion"] = schur_expansion_json(expansion, N)
     out["determinant"] = {"power": power, "multiplicity": mult}
@@ -325,7 +329,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("bwb", parents=[common], help="cohomology of one bundle")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"size, 1..{_MAX_SIZE['bwb']}")
     p.add_argument("--u", default="", help="comma partition on the dual subbundle")
     p.add_argument("--q", default="", help="comma partition on the quotient")
     p.add_argument("--twist", type=int, default=0)
@@ -333,21 +337,22 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("decompose", parents=[common], help="tensor decomposition")
     p.add_argument("expression", help="e.g. 'wedgeQ(2,-4) * Q + O(-1)'")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"size, 1..{_MAX_SIZE['decompose']}")
     p.set_defaults(handler=cmd_decompose)
 
     p = sub.add_parser("koszul", parents=[common], help="restriction to the zero locus")
     p.add_argument("action", choices=["restrict", "family-dim"])
     p.add_argument("expression", nargs="?", default=None, help="restrict only; default O(0)")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2,
+                   help=f"size, 1..{_MAX_SIZE['koszul']} (family-dim from 2)")
     p.set_defaults(handler=cmd_koszul)
 
     p = sub.add_parser("motivic", parents=[common], help="L-equivalence certificate")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_SIZE['motivic']}")
     p.set_defaults(handler=cmd_motivic)
 
     p = sub.add_parser("hodge", parents=[common], help="middle Hodge decomposition")
-    p.add_argument("--n", type=int, default=2)
+    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_SIZE['hodge']}")
     p.set_defaults(handler=cmd_hodge)
 
     p = sub.add_parser("plethysm", parents=[common], help="Schur expansion of s_lam[e_k]")
@@ -376,6 +381,9 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        top = _MAX_SIZE.get(args.command)
+        if top is not None and args.n > top:  # refused before any work
+            raise ValueError(f"{args.command} takes n up to {top}, not {args.n}")
         result = {"schema": 2, "command": args.command, **args.handler(args)}
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -14,17 +14,18 @@ chi^b(rho) p_rho / z_rho.  So the coefficient of s_mu in s_a s_b is
     sum over rho of chi^b(rho) <p_rho s_a, s_mu> / z_rho,
 
 and `symfunc` reads plethysms the same way, with p_rho[e_n] in place of
-p_rho s_a.  One walk, `_walk`, computes such sums for every shape at once.
-It runs over the rho, parts non-increasing, and shares their prefixes: going
-down, it removes the parts one at a time from a start shape and cuts a
-prefix that leaves nothing; coming back up, it adds them to an origin shape.
-Both maps move beads of beta-sets held as bitmasks (Macdonald I.3 and I.7):
-p_m moves one bead m places, a border strip signed by the Murnaghan-Nakayama
-rule.  `littlewood_richardson` removes plain strips from b, which gives
-chi^b(rho), and adds plain strips to a, which gives p_rho s_a.  The walk
-scales every weight by w!, for the w boxes it removes, so the sums are exact
-integers; a remainder or a negative coefficient contradicts Schur positivity
-and raises.
+p_rho s_a.  One walk, `_walk`, computes such sums for every shape at once:
+it takes a start shape, an origin shape, a row count and the bead count of
+each side's move (1 for p_m, n for p_m[e_n]), and returns the nonzero Schur
+coefficients.  It runs over the rho, parts non-increasing, and shares their
+prefixes: going down, it removes the parts one at a time from the start
+shape and cuts a prefix that leaves nothing; coming back up, it adds them
+to the origin shape.  Both maps move beads of beta-sets held as bitmasks
+(Macdonald I.3 and I.7), which no caller sees: p_m moves one bead m places,
+a border strip signed by the Murnaghan-Nakayama rule.  The walk scales
+every weight by w!, for rho |- w, so the sums are exact integers; a
+remainder or a negative coefficient contradicts Schur positivity and
+raises.
 """
 
 from __future__ import annotations
@@ -177,55 +178,56 @@ def _beads(lam, rows):
     return sum(1 << x + rows - 1 - i for i, x in enumerate(padded))
 
 
-def _spread(out, terms, images, *args):
-    """Adds to `out` the image of `terms` under the linear map that sends
-    each shape b to images(b, *args); returns `out`."""
-    for b, x in terms.items():
-        for b2, y in images(b, *args):
-            out[b2] = out.get(b2, 0) + x * y
-    return out
+def _walk(start, origin, rows, down=1, up=1):
+    """{mu: coefficient of s_mu in S}, nonzero only, in graded lex order,
+    where S is the sum over rho |- w of <D_rho s_start, 1> U_rho s_origin /
+    z_rho and w = |start| / down.
 
-
-def _walk(w, start, origin, down, up):
-    """{beta-set: w! S}, where S is the sum over rho |- w of
-    <D_rho start, 1> U_rho(origin) / z_rho.
-
-    D_rho removes the parts of rho from the shape `start` by down(beads, m,
-    False), and U_rho adds them to the beta-set `origin` by up(beads, m,
-    True); each map is p_m or p_m[e_n].  Going down a prefix, a prefix with
-    nothing left is cut, since every rho it starts adds 0.  Coming back up,
-    the parts after the prefix are added to what the rest of the walk
-    returns.  That side keeps the beads of `origin`, which drops every shape
-    with more rows: a strip never removes a row, so no such shape leads to
-    one that fits.
+    D_rho removes the parts of rho from `start`, and U_rho adds them to
+    `origin` on `rows` beads; a part m is the move of `_border_strips` on
+    `down` or `up` beads, which is p_m at 1 and p_m[e_n] at n.  Going down
+    a prefix, a prefix with nothing left is cut, since every rho it starts
+    adds 0.  Coming back up, the parts after the prefix are added to what
+    the rest of the walk returns.  That side keeps `rows` beads, which drops
+    every shape with more rows: a strip never removes a row, so no such
+    shape leads to one that fits.  The moves are memoized for this call.
     """
+    w = weight(start) // down
+    scale = factorial(w)
+    memo = {}
+
+    def spread(out, terms, m, grow):
+        # adds to `out` the image of `terms` under the move of m places
+        for b, x in terms.items():
+            moves = memo.get((b, m, grow))
+            if moves is None:
+                moves = _border_strips(b, m, grow, up if grow else down)
+                memo[b, m, grow] = moves
+            for b2, y in moves:
+                out[b2] = out.get(b2, 0) + x * y
+        return out
 
     def visit(prefix, left, terms):
         if not left:
             # terms holds <D_prefix start, 1>, on the empty shape
             (value,) = terms.values()
-            weight = value * (factorial(w) // _z(prefix))
-            return {origin: weight}
+            return {_beads(origin, rows): value * (scale // _z(prefix))}
         out = {}
         for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
-            below = {b: x for b, x in _spread({}, terms, down, m, False).items() if x}
+            below = {b: x for b, x in spread({}, terms, m, False).items() if x}
             if below:
-                _spread(out, visit(prefix + (m,), left - m, below), up, m, True)
+                spread(out, visit(prefix + (m,), left - m, below), m, True)
         return out
 
-    return visit((), w, {start: 1})
-
-
-def _read(total, size, rows, scale):
-    """{mu: coefficient} for every mu |- size with at most `rows` rows, read
-    off a walk's `total` scaled by `scale`; every coefficient is a
-    multiplicity, so a remainder or a negative value raises."""
+    total = visit((), w, {_beads(start, len(start)): 1})
+    memo.clear()  # visit refers to itself, so only the cycle collector would free this
     out = {}
-    for mu in partitions_of(size, max_rows=rows):
+    for mu in partitions_of(weight(origin) + up * w, max_rows=rows):
         c, rest = divmod(total.get(_beads(mu, rows), 0), scale)
-        if rest or c < 0:
+        if rest or c < 0:  # each coefficient is a multiplicity
             raise AssertionError(f"coefficient {c} + {rest}/{scale} at {mu}")
-        out[mu] = c
+        if c:
+            out[mu] = c
     return out
 
 
@@ -245,7 +247,4 @@ def littlewood_richardson(a, b, rank: int) -> dict[tuple, int]:
         return {}
     if weight(a) < weight(b):
         a, b = b, a
-    w = weight(b)
-    total = _walk(w, _beads(b, len(b)), _beads(a, rank), _border_strips, _border_strips)
-    product = _read(total, weight(a) + w, rank, factorial(w))
-    return {mu: c for mu, c in product.items() if c}
+    return _walk(b, a, rank)

@@ -8,16 +8,17 @@ is
 
     sum over rho of chi^lambda(rho) <p_rho[e_n], s_mu> / z_rho,
 
-which the walk of `partitions` reads for every shape at once.  p_m[e_n]
-moves n distinct beads m places at once, each onto a place that is empty or
-was just left by an earlier bead of the set, with the product of their strip
-signs: under Littlewood's m-quotient it is e_n on the m runners together,
-the vertical case of the ribbon Pieri rule (Lascoux, Leclerc and Thibon,
-J. Math. Phys. 38 (1997)).  Every coefficient is +-1, so nothing cancels.
-The two callers differ only in which map goes on which side:
+which `partitions._walk` reads for every shape at once.  It takes shapes
+and returns the nonzero Schur coefficients; the beta-sets it moves beads
+on stay inside `partitions`.  There p_m[e_n] moves n distinct beads m
+places at once, with the product of their strip signs: under Littlewood's
+m-quotient it is e_n on the m runners together, the vertical case of the
+ribbon Pieri rule (Lascoux, Leclerc and Thibon, J. Math. Phys. 38
+(1997)).  The two callers differ only in which side moves n beads:
 
-- `plethysm_wedge` removes plain strips from lambda and adds p_m[e_n] on N
-  beads, which gives the Schur expansion of s_lambda[e_n] in N variables.
+- `plethysm_wedge` removes plain strips from lambda and adds p_m[e_n] on
+  at most N rows, which gives the Schur expansion of s_lambda[e_n] in N
+  variables.
 - `_det_multiplicities` removes p_m[e_n] from (k^N) and adds plain strips,
   which gives the multiplicity of det^k = s_(k^N) in s_lambda[e_n] for every
   lambda of one degree.  s_(k^N) has N rows, so that coefficient is the same
@@ -29,10 +30,9 @@ returns without a walk.
 
 from __future__ import annotations
 
-from functools import lru_cache, partial
-from math import comb, factorial
+from math import comb
 
-from .partitions import _beads, _border_strips, _read, _walk, check_partition
+from .partitions import _walk, check_partition
 
 
 class BudgetExceeded(Exception):
@@ -55,20 +55,14 @@ def _check_budget(degree, N, budget):
         )
 
 
-def _strip_maps(n):
-    """(strips, wedge): the maps (beads, m, grow) -> [(beads', sign)] of p_m
-    and of p_m[e_n], adding (grow) or removing, memoized for one walk."""
-    strips = lru_cache(maxsize=None)(_border_strips)
-    return strips, lru_cache(maxsize=None)(partial(_border_strips, n=n))
-
-
 def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None):
     """Schur expansion of s_lam[e_n] in N variables (default N = 2n+1).
 
     Returns {mu: coefficient} with all coefficients positive; mu have at most
     N rows.  Raises BudgetExceeded when n*|lam| is over budget, never silently
-    truncates.  The walk keeps N beads on the expansion side: a strip never
-    removes a row, and s_mu = 0 in N variables once mu has more than N rows.
+    truncates.  The walk keeps min(N, n*|lam|) beads on the expansion side:
+    s_mu = 0 in N variables once mu has more than N rows, and no mu of
+    n*|lam| boxes has more than n*|lam|, so a large N costs nothing.
     """
     lam = check_partition(lam)
     if N is None:
@@ -81,15 +75,13 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
         return {lam: 1}
-    total = _walk(w, _beads(lam, len(lam)), _beads((), N), *_strip_maps(n))
-    expansion = _read(total, n * w, N, factorial(w))
-    return {mu: c for mu, c in expansion.items() if c}
+    return _walk(lam, (), min(N, n * w), up=n)
 
 
 def _det_multiplicities(n, w, budget):
     """(k, {lam: multiplicity of det^k in S^lam(wedge^n V)}) for every lam of
-    size w with at most binomial(N, n) rows, dim V = N = 2n+1; (None, {})
-    unless N divides n*w.
+    size w whose multiplicity is nonzero, in graded lex order, dim V = N =
+    2n+1; (None, {}) unless N divides n*w.
 
     The walk removes p_m[e_n] from (k^N) and adds plain strips to the
     empty shape, on min(w, binomial(N, n)) beads: s_lam[e_n] = 0 in N
@@ -101,10 +93,7 @@ def _det_multiplicities(n, w, budget):
     _check_budget(0 if r else n * w, N, budget)
     if r:
         return None, {}
-    rows = min(w, comb(N, n))
-    strips, wedge = _strip_maps(n)
-    total = _walk(w, (1 << N) - 1 << k, _beads((), rows), wedge, strips)
-    return k, _read(total, w, rows, factorial(w))
+    return k, _walk((k,) * N, (), min(w, comb(N, n)), down=n)
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):
@@ -113,7 +102,7 @@ def determinant_multiplicity(lam, n: int, budget: int | None = None):
     dim V = N = 2n+1.  Degree forces k = n*|lam|/N; when the division fails the
     multiplicity is 0 and k is None.  S^lam(wedge^n V) = 0, and the
     multiplicity is 0, when lam has more rows than e_n has monomials.  Reads
-    lam off every multiplicity of its degree.
+    lam off the nonzero multiplicities of its degree, 0 where it is absent.
     """
     lam = check_partition(lam)
     if n < 1:

@@ -7,12 +7,13 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
-from cypairs.cli import CLAIMS, _exit_code, _parse_expression, main
+from cypairs.cli import _MAX_SIZE, CLAIMS, _exit_code, _parse_expression, main
 from cypairs.pluecker import symmetry_obstruction_probe
 
 
@@ -364,6 +365,19 @@ def test_plethysm_command(capsys):
     assert out["lam"] == [] and out["expansion"]["terms"] == [{"mu": [], "coeff": 1}]
 
 
+def test_plethysm_nvars_past_the_degree_costs_nothing(capsys):
+    # budget: 1 second for both; no shape of n|lam| boxes has more rows, and
+    # det^0 = s_() is read without building a shape of N rows
+    argv = ["plethysm", "--wedge", "2", "--nvars"]
+    t0 = time.perf_counter()
+    _, out = run_json(capsys, [*argv, "1000000", "--lam", "2,1"])
+    _, empty = run_json(capsys, [*argv, "1000000", "--lam", ""])
+    assert time.perf_counter() - t0 < 1.0
+    _, small = run_json(capsys, [*argv, "6", "--lam", "2,1"])
+    assert out["expansion"]["terms"] == small["expansion"]["terms"]
+    assert empty["determinant"] == {"power": 0, "multiplicity": 1}
+
+
 def test_pluecker_command_is_deterministic(capsys):
     args = ["pluecker", "--n", "2", "--trials", "5", "--seed", "1"]
     code, first = run_json(capsys, args)
@@ -563,6 +577,33 @@ def test_probe_refuses_sizes_past_its_range(argv):
     assert out == b""
     (line,) = err.decode().splitlines()
     assert line.startswith("error: ")
+
+
+@pytest.mark.parametrize("argv", [
+    ["bwb", "--q", "1"],
+    ["decompose", "Q"],
+    ["koszul", "restrict", "Q"],
+    ["koszul", "family-dim"],
+    ["motivic"],
+    ["hodge"],
+], ids=["bwb", "decompose", "restrict", "family-dim", "motivic", "hodge"])
+def test_commands_refuse_sizes_past_their_range(capsys, argv):
+    # budget: 5 seconds per refusal, in a fresh process; bwb at n = 10^6
+    # used to run for minutes.  The range is stated in --help
+    top = _MAX_SIZE[argv[0]]
+    with pytest.raises(SystemExit):
+        main([*argv, "--help"])
+    assert f"..{top}" in capsys.readouterr().out
+    for n in (top + 1, 10**6):
+        proc = _run_cli(*argv, "--n", str(n))
+        try:
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert out == b""
+        (line,) = err.decode().splitlines()
+        assert line == f"error: {argv[0]} takes n up to {top}, not {n}"
 
 
 @pytest.mark.parametrize("sizes", ["2,3,4,5,8", "2,1", "1,3"])

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cypairs import partitions
 from cypairs.partitions import (
     check_partition,
     conjugate,
@@ -17,6 +18,7 @@ from cypairs.partitions import (
     weight,
     weyl_dimension,
 )
+from cypairs.symfunc import plethysm_wedge
 
 
 def conjugate_by_cells(p):
@@ -261,6 +263,28 @@ def test_lr_edge_cases(a, b, rank, want):
     got = littlewood_richardson(a, b, rank)
     assert got == want
     assert repr(got) == repr(tableau_littlewood_richardson(a, b, rank))
+
+
+@pytest.mark.parametrize(
+    "corrupt",
+    [lambda moves: [(moves[0][0], -moves[0][1]), *moves[1:]], lambda moves: moves[1:]],
+    ids=["flipped-sign", "dropped-move"],
+)
+def test_walk_refuses_a_wrong_strip_map(monkeypatch, corrupt):
+    # one wrong sign or one lost move among the single boxes added leaves a
+    # remainder mod w! or a negative coefficient, and the walk raises instead
+    # of returning coefficients
+    strips = partitions._border_strips
+
+    def wrong(beads, m, grow, n=1):
+        moves = strips(beads, m, grow, n)
+        return corrupt(moves) if grow and m == 1 and moves else moves
+
+    monkeypatch.setattr(partitions, "_border_strips", wrong)
+    with pytest.raises(AssertionError):
+        littlewood_richardson((2, 1), (2, 1), 3)
+    with pytest.raises(AssertionError):
+        plethysm_wedge((2, 1), 2)
 
 
 def test_lr_rejects_bad_input():
