@@ -7,8 +7,8 @@ The subpackages compute, with integer or rational arithmetic throughout:
 - partitions: partition combinatorics, Weyl dimensions, product rules;
 - symfunc: plethysms of wedge powers and the determinant witness search;
 - bwb: cohomology of irreducible homogeneous bundles on G(n, 2n+1);
-- bundles: bundle tensor calculus, Koszul pages, the vanishing claims table;
-- koszul: restriction to the zero locus and the deformation family count;
+- koszul: Koszul pages, restriction to the zero locus, the family count;
+- bundles: bundle tensor calculus and the vanishing claims table;
 - motivic: Grothendieck ring classes and the L-equivalence certificate;
 - hodge: the middle-degree comparison deciding Hodge-isometry parity;
 - pluecker: exact Pluecker coordinates and the section symmetry probe;
@@ -22,7 +22,6 @@ import numpy  # noqa: F401
 from .bundles import (
     Bundle,
     cohomology_table,
-    koszul_page,
     rank,
     tensor,
     verify_vanishing_claims,
@@ -34,6 +33,7 @@ from .koszul import (
     RestrictedCohomology,
     deformation_sweep,
     family_dimension,
+    koszul_page,
     restricted_cohomology,
 )
 from .motivic import LPoly, class_flag, gaussian_binomial, l_equivalence_certificate

@@ -4,10 +4,8 @@ claims behind the family-dimension count.
 Tensor products decompose by the Littlewood-Richardson rule applied to the
 U*-parts (rank n) and Q-parts (rank n+1) separately, its coefficients read
 by the characteristic-map walk of `partitions`; full exterior columns are
-absorbed into twists.  Koszul pages need only products with the columns
-wedge^l Q, which the dual Pieri rule (Macdonald I.5.17) reads directly: such
-a product adds a vertical l-strip to the Q-part.  `verify_vanishing_claims`
-sweeps a fixed table of cohomology vanishing claims and grades each one:
+absorbed into twists.  `verify_vanishing_claims` sweeps a fixed table of
+cohomology vanishing claims and grades each one:
 
   pass       the claim holds on the stated domain
   deviation  the computation disagrees with the claim as stated, in a way
@@ -24,7 +22,8 @@ from __future__ import annotations
 from math import comb, factorial, prod
 from operator import sub
 
-from .bwb import Bundle, bott, canonicalize, cohomology, to_weight
+from .bwb import Bundle, _as_summands, canonicalize, cohomology
+from .koszul import deformation_sweep, koszul_page, restricted_cohomology
 from .partitions import littlewood_richardson, weyl_dimension
 
 
@@ -47,12 +46,6 @@ def overall_status(statuses) -> str:
 def rank(b: Bundle, n: int) -> int:
     """Rank of the bundle: product of the two Weyl dimensions."""
     return weyl_dimension(b.u, n) * weyl_dimension(b.q, n + 1)
-
-
-def _as_summands(x) -> dict:
-    if isinstance(x, Bundle):
-        return {x: 1}
-    return dict(x)
 
 
 def tensor(x, y, n: int) -> dict:
@@ -85,47 +78,6 @@ def cohomology_table(x, n: int) -> dict:
         if c is not None:
             table[c.degree] = table.get(c.degree, 0) + m * c.dim
     return {p: d for p, d in sorted(table.items()) if d}
-
-
-def _vertical_strips(q) -> list:
-    """[(mu, l)] for every mu within len(q) rows with mu/q a vertical l-strip;
-    q is weakly decreasing.  Row by row, a row takes a box only below a row
-    that is still longer, so every prefix kept extends."""
-    strips = [((), 0)]
-    for x in q:
-        strips = [
-            (mu + (y,), l + y - x)
-            for mu, l in strips
-            for y in (x, x + 1)
-            if not mu or y <= mu[-1]
-        ]
-    return strips
-
-
-def koszul_page(f, n: int) -> dict:
-    """Nonzero cells {(l, q): dim H^q(F (x) wedge^l Q(-2l))} for l in
-    [0, n+1], ordered by l, then q; F may be a Bundle or a {Bundle:
-    multiplicity} dict.  These are the terms of the Koszul resolution of the
-    zero locus of Q*(2), tensored with F.
-
-    By the dual Pieri rule each summand's product with wedge^l Q is the sum
-    of the S^mu(Q) over the vertical l-strips mu/q, so every cell is one Bott
-    walk on the weight (mu, tail + 2l), tail the U*-and-twist part of the
-    summand's weight.  No summand is canonicalized: a full column of mu, like
-    the one of wedge^{n+1} Q = O(1), shifts the weight by (1^{2n+1}), which
-    changes neither the Bott degree nor the Weyl dimension."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    cells = {}
-    for b, m in _as_summands(f).items():
-        w = to_weight(b, n)
-        tail = w[n + 1:]
-        for mu, l in _vertical_strips(w[:n + 1]):
-            res = bott(mu + tuple([x + 2 * l for x in tail]))
-            if res is not None:
-                p, dom = res
-                cells[l, p] = cells.get((l, p), 0) + m * weyl_dimension(dom)
-    return {cell: d for cell, d in sorted(cells.items()) if d}
 
 
 def _low_cells(page, n: int) -> dict:
@@ -250,8 +202,6 @@ def _deformation_page(n: int) -> dict:
     n^2 - n.  The class is real but its degree computes to n^2 + n (the top),
     which is recorded as a degree discrepancy.  For n = 2 the first family
     has two extra interior classes."""
-    from .koszul import deformation_sweep
-
     sweep = deformation_sweep(n)
     cells = sweep["nonzero"]
     claimed_degree = n * n - n
@@ -280,8 +230,6 @@ def _restricted_sections(n: int) -> dict:
     """Claim: restricting O(1), Q and Q*(2) to the zero locus Y of a general
     section of Q*(2) preserves the space of sections.  O(1) and Q do; Q*(2)
     loses exactly the one section cutting Y once n > 2."""
-    from .koszul import restricted_cohomology
-
     rows = []
     for label, b, ambient_h0 in (
         ("O(1)", Bundle((), (), 1), comb(2 * n + 1, n)),

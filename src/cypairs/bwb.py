@@ -28,6 +28,12 @@ class Bundle(NamedTuple):
     t: int = 0
 
 
+def _as_summands(x) -> dict:
+    if isinstance(x, Bundle):
+        return {x: 1}
+    return dict(x)
+
+
 class CohomologyGroup(NamedTuple):
     degree: int
     weight: tuple

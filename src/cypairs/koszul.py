@@ -4,8 +4,9 @@ of Q*(2) on G(n, 2n+1), through the Koszul resolution of Y.
 Y has codimension n+1 and its structure sheaf is resolved by the bundles
 wedge^l(Q(-2)) = wedge^l Q(-2l), l = 0 .. n+1.  Tensored with F, the cells
 H^q(F (x) wedge^l Q(-2l)) form the E1 page of a spectral sequence converging
-to H^*(F|_Y); cell (l, q) sits in total degree q - l.  One rule reads the
-answer off that page:
+to H^*(F|_Y); cell (l, q) sits in total degree q - l.  The dual Pieri rule
+(Macdonald I.5.17) reads each product with wedge^l Q directly: it adds a
+vertical l-strip to the Q-part.  One rule reads the answer off that page:
 
   A differential can only run from a cell (l, q) to a cell (l2, q2) with
   l2 < l and q2 - l2 = q - l + 1.  Every such pair of nonzero cells blocks,
@@ -22,8 +23,49 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .bwb import Bundle
-from .bundles import koszul_page, tensor, wedge_q
+from .bwb import Bundle, _as_summands, bott, to_weight
+from .partitions import weyl_dimension
+
+
+def _vertical_strips(q) -> list:
+    """[(mu, l)] for every mu within len(q) rows with mu/q a vertical l-strip;
+    q is weakly decreasing.  Row by row, a row takes a box only below a row
+    that is still longer, so every prefix kept extends."""
+    strips = [((), 0)]
+    for x in q:
+        strips = [
+            (mu + (y,), l + y - x)
+            for mu, l in strips
+            for y in (x, x + 1)
+            if not mu or y <= mu[-1]
+        ]
+    return strips
+
+
+def koszul_page(f, n: int) -> dict:
+    """Nonzero cells {(l, q): dim H^q(F (x) wedge^l Q(-2l))} for l in
+    [0, n+1], ordered by l, then q; F may be a Bundle or a {Bundle:
+    multiplicity} dict.  These are the terms of the Koszul resolution of the
+    zero locus of Q*(2), tensored with F.
+
+    By the dual Pieri rule each summand's product with wedge^l Q is the sum
+    of the S^mu(Q) over the vertical l-strips mu/q, so every cell is one Bott
+    walk on the weight (mu, tail + 2l), tail the U*-and-twist part of the
+    summand's weight.  No summand is canonicalized: a full column of mu, like
+    the one of wedge^{n+1} Q = O(1), shifts the weight by (1^{2n+1}), which
+    changes neither the Bott degree nor the Weyl dimension."""
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    cells = {}
+    for b, m in _as_summands(f).items():
+        w = to_weight(b, n)
+        tail = w[n + 1:]
+        for mu, l in _vertical_strips(w[:n + 1]):
+            res = bott(mu + tuple([x + 2 * l for x in tail]))
+            if res is not None:
+                p, dom = res
+                cells[l, p] = cells.get((l, p), 0) + m * weyl_dimension(dom)
+    return {cell: d for cell, d in sorted(cells.items()) if d}
 
 
 class RestrictedCohomology(NamedTuple):
@@ -70,11 +112,13 @@ def deformation_sweep(n: int) -> dict:
     degree, dim) cell, ordered by l, then family; family 2 vanishing
     identically is what splices family 1 into the tangent restriction one
     degree up.  There is no top-degree key: the degree is read off the cells.
+    By the dual Pieri rule wedge^n Q (x) Q = e_n e_1 = s_(2,1^{n-1}) +
+    s_(1^{n+1}): the vertical 1-strips on (1^n, 0), full column and all.
     """
-    q = Bundle((), (1,), 0)
+    strips = _vertical_strips((1,) * n + (0,))
     pages = (
-        (1, koszul_page(tensor(wedge_q(n, n, -1), q, n), n)),
-        (2, koszul_page(q, n)),
+        (1, koszul_page({Bundle((), mu, -1): 1 for mu, l in strips if l == 1}, n)),
+        (2, koszul_page(Bundle((), (1,), 0), n)),
     )
     cells = sorted(
         (l, fam, p, d) for fam, page in pages for (l, p), d in page.items() if l >= 1

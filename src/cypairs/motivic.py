@@ -121,11 +121,20 @@ def gaussian_binomial(N: int, k: int) -> LPoly:
     return LPoly(dict(enumerate(_gauss(N, k))))
 
 
+def _times_projective(p: LPoly, n: int) -> LPoly:
+    """p [P^n], [P^n] = 1 + L + ... + L^n: coefficient j is the sum of the
+    n+1 coefficients of p ending at j, a window of one prefix sum."""
+    c = p.coefficients()
+    s = [0, *accumulate(c)]
+    m = len(c)
+    return LPoly({j: s[min(j + 1, m)] - s[max(j - n, 0)] for j in range(m + n)})
+
+
 def class_flag(n: int) -> LPoly:
     """Class of the flag roof F(n, n+1; 2n+1): a P^n-bundle over G(n, 2n+1)."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return gaussian_binomial(2 * n + 1, n) * LPoly.projective_space(n)
+    return _times_projective(gaussian_binomial(2 * n + 1, n), n)
 
 
 def l_equivalence_certificate(n: int) -> dict:
@@ -143,9 +152,9 @@ def l_equivalence_certificate(n: int) -> dict:
     r = n + 1
     minus = gaussian_binomial(2 * n + 1, n)
     plus = gaussian_binomial(2 * n + 1, n + 1)
-    flag = class_flag(n)
+    flag = _times_projective(minus, n)
     sides_equal = minus == plus
-    flag_consistent = flag == plus * LPoly.projective_space(n)
+    flag_consistent = flag == _times_projective(plus, n)
     euler = flag(1)
     checks = {
         "sides_equal": sides_equal,

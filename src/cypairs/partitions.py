@@ -37,9 +37,10 @@ from math import factorial, prod
 def trim(parts) -> tuple:
     """Canonical form: drop trailing zeros, return a tuple."""
     parts = tuple(parts)
-    while parts and parts[-1] == 0:
-        parts = parts[:-1]
-    return parts
+    end = len(parts)
+    while end and parts[end - 1] == 0:
+        end -= 1
+    return parts[:end]
 
 
 def is_partition(parts) -> bool:

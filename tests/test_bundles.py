@@ -10,7 +10,6 @@ import pytest
 from cypairs.bundles import (
     Bundle,
     _twisted_schur_vanishing,
-    _vertical_strips,
     cohomology_table,
     koszul_page,
     rank,
@@ -19,7 +18,7 @@ from cypairs.bundles import (
     wedge_q,
 )
 from cypairs.bwb import bott, canonicalize, cohomology, to_weight
-from cypairs.koszul import family_dimension
+from cypairs.koszul import _vertical_strips, family_dimension
 from cypairs.partitions import littlewood_richardson, partitions_of, trim, weyl_dimension
 
 Q = Bundle((), (1,), 0)
@@ -319,11 +318,11 @@ def test_deformation_page_degree_follows_the_top_cell(monkeypatch):
         out["nonzero"] = out["nonzero"] + out["nonzero"][-1:]
         return out
 
-    monkeypatch.setattr("cypairs.koszul.deformation_sweep", moved)
+    monkeypatch.setattr("cypairs.bundles.deformation_sweep", moved)
     c = check_by_name(verify_vanishing_claims(3), "deformation_page_vanishing")
     assert c["computed_degree"] == 8
     assert c["status"] == "fail"
-    monkeypatch.setattr("cypairs.koszul.deformation_sweep", doubled)
+    monkeypatch.setattr("cypairs.bundles.deformation_sweep", doubled)
     c = check_by_name(verify_vanishing_claims(3), "deformation_page_vanishing")
     assert c["computed_degree"] is None
     assert c["degree_discrepancy"] is True

@@ -250,6 +250,20 @@ def test_deformation_sweep_cells():
     ]
 
 
+def test_deformation_sweep_matches_the_tensor_route():
+    # family 1 by the e_n e_1 Pieri split against the LR tensor product
+    for n in range(1, 11):
+        pages = (
+            (1, koszul_page(tensor(wedge_q(n, n, -1), Q, n), n)),
+            (2, koszul_page(Q, n)),
+        )
+        cells = sorted(
+            (l, fam, p, d) for fam, page in pages for (l, p), d in page.items() if l >= 1
+        )
+        nonzero = [{"family": f, "l": l, "degree": p, "dim": d} for l, f, p, d in cells]
+        assert deformation_sweep(n) == {"n": n, "nonzero": nonzero}, n
+
+
 # ------------------------------------------------------- family dimension
 
 

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -45,6 +46,13 @@ def test_trim():
     assert trim((3, 1, 0, 0)) == (3, 1)
     assert trim(()) == ()
     assert trim((0, 0)) == ()
+
+
+def test_trim_is_one_scan():
+    start = time.perf_counter()
+    assert trim((0,) * 40000) == ()
+    assert time.perf_counter() - start < 0.1
+    assert (trim(()), trim((0,)), trim((3, 0, 0))) == ((), (), (3,))
 
 
 def is_partition_two_pass(parts):
