@@ -19,12 +19,13 @@ restriction of the normal and tangent pages determinate.
 
 from __future__ import annotations
 
-from math import comb, factorial, prod
-from operator import sub
+from math import comb, factorial, isqrt, prod
+from operator import add
 
 from .bwb import Bundle, _as_summands, canonicalize, cohomology
 from .koszul import deformation_sweep, koszul_page, restricted_cohomology
 from .partitions import littlewood_richardson, weyl_dimension
+from .pluecker import _bareiss
 
 
 def wedge_q(k: int, n: int, t: int = 0) -> Bundle:
@@ -114,33 +115,48 @@ def _twisted_schur_vanishing(n: int) -> dict:
 
     H^0 is the GL(2n+1) irreducible of highest weight (r, 0^n) with
     r = q - i^(n+1), 0 <= r_a <= n-2: the r run over the (n+1) x (n-2) box,
-    each the H^0 of the n-1-r_0 escapes r + j^(n+1), 1 <= j <= n-1-r_0, so
-    the C(2n, n-2) escapes and their H^0 total are one pass over the r.
-    Their Weyl dimensions are one table, filled by a walk over row
-    prefixes: row a with entry x multiplies in its cross factor
-    prod_{b=n+1}^{2n} (x + b - a) and its pairs (r_b - x + a - b) with the
-    rows b < a, over the exact denominator sf(2n+1) / sf(n), sf(m) =
-    prod_{k<m} k! (the zero block cancels sf(n)).
+    each the H^0 of the n-1-r_0 escapes r + j^(n+1), 1 <= j <= n-1-r_0.
+    Summed by the hockey stick that is C(2n, n-2) escapes, and since
+    n-1-r_0 counts the widths c in [r_0, n-2], the H^0 total is the sum over
+    c = 0..n-2 of S(c), the Weyl dimensions summed over the (n+1) x c box.
+
+    Set l_a = r_a - a.  Then r lies in the (n+1) x c box exactly when {l_a}
+    is an (n+1)-subset T of [-n, c], and the Weyl formula reads
+    dim = V(T) prod_{t in T} phi(t) / den, with V the Vandermonde of T,
+    phi(t) = prod_{b=n+1}^{2n} (t + b) and den = prod_{k=n}^{2n} k!.  So
+    S(c) den is the sum of the maximal minors det[phi(t) t^j] (rows t in T,
+    columns j = 0..n) of the matrix A on the rows [-n, c], and by the minor
+    summation formula (Ishikawa and Wakayama, Linear Multilinear Algebra 39,
+    1995; Stembridge, Adv. Math. 83, 1990) that sum is Pf(A^T Q A) with
+    Q_st = sign(t - s), bordered by the column sums of A when n+1 is odd.
+    One pass over the rows t builds A^T Q A by prefix sums and reads one
+    Pfaffian, as the root of a Bareiss determinant, at each t >= 0.
     """
-    cross = [
-        [prod(r + b - a for b in range(n + 1, 2 * n + 1)) for r in range(n - 1)]
-        for a in range(n + 1)
-    ]
-    # numerators by row prefix
-    nums = {(): 1}
-    for a in range(n + 1):
-        nums = {
-            r + (x,): num * cross[a][x] * prod(map(sub, r, range(x - a, x)))
-            for r, num in nums.items()
-            for x in range(r[-1] + 1 if r else n - 1)
-        }
-    den = prod(factorial(k) for k in range(n, 2 * n + 1))
-    count = total = 0
-    for r, num in nums.items():
-        dim, rem = divmod(num, den)
-        assert rem == 0 and dim >= 1
-        count += n - 1 - r[0]
-        total += (n - 1 - r[0]) * dim
+    k = n + 1
+    d = k + k % 2  # an odd k borders the skew matrix with the column sums
+    skew = [[0] * d for _ in range(d)]
+    pre = [0] * k  # column sums of the rows so far
+    den = prod(factorial(m) for m in range(n, 2 * n + 1))
+    total = 0
+    for t in range(-n, n - 1):
+        phi = prod(range(t + n + 1, t + 2 * n + 1))
+        row = [phi * t**j for j in range(k)]
+        for i in range(k):
+            for j in range(i + 1, k):
+                v = skew[i][j] + pre[i] * row[j] - pre[j] * row[i]
+                skew[i][j], skew[j][i] = v, -v
+        pre = [*map(add, pre, row)]
+        if t < 0:
+            continue
+        if d > k:
+            for i, v in enumerate(pre):
+                skew[i][k], skew[k][i] = v, -v
+        det = _bareiss(skew)
+        pf = isqrt(det)
+        dims, rem = divmod(pf, den)
+        assert pf * pf == det and rem == 0 and dims >= 1
+        total += dims
+    count = comb(2 * n, n - 2)
     return {
         "name": "twisted_schur_vanishing",
         "status": "deviation" if count else "pass",

@@ -105,6 +105,19 @@ def test_claims_report_at_ten_is_small():
     assert report["checks"][0]["escape_count"] == comb(20, 8) == 125970
 
 
+def test_claims_suite_at_sixteen_is_fast():
+    # budget: 1 second; the sweep reads its H^0 total off 15 Pfaffians
+    # where the table of row prefixes would hold over 10^8 entries
+    start = time.perf_counter()
+    report = verify_vanishing_claims(16)
+    assert time.perf_counter() - start < 1.0
+    assert all(c["status"] != "fail" for c in report["checks"])
+    sweep = report["checks"][0]
+    assert sweep["name"] == "twisted_schur_vanishing"
+    assert sweep["escape_count"] == comb(32, 14) == 471435600
+    assert sweep["cases"] == 32 * comb(32, 15) == 18103127040
+
+
 # sha256 of json.dumps(..., sort_keys=True) of each report.  The
 # family_dimension digests were recorded before the Koszul pages moved to the
 # dual Pieri rule.  The verify_vanishing_claims digests were recorded again
@@ -120,6 +133,11 @@ CLAIM_DIGESTS = {
     (7, "family_dimension"): "6983a621d469e93639a141717280f8a4a4fd843ccac4bd0c217ad3d63c4db1b0",
     (8, "verify_vanishing_claims"): "3258aeed5a66447371a36dd9f7911e82ae21cacba684408ffced7ef486675848",
     (8, "family_dimension"): "e889586c73934724d7809cfef90fd281dcb880c235bc79c8bb97c5336e0f8a59",
+    # recorded from the row-prefix sweep, before the minor-summation Pfaffian
+    (9, "verify_vanishing_claims"): "8ea272e7fee9db6692c758142d41136edcb78620df6f65ac790b2b1ce7a428f7",
+    (10, "verify_vanishing_claims"): "a779a1979461fbbd4da0700e5b349a620b1ae27e3d5eebf4068e5a33da7140e2",
+    (11, "verify_vanishing_claims"): "29e3cb8c5611d09b0a655fefc407060dc20d353510dc12c1c3b88d6006bb6f02",
+    (12, "verify_vanishing_claims"): "ff9cf3884bcf81166c3507e5f5bfe8a616a2b70b3c1c1ba56855cbfc609abc08",
 }
 
 

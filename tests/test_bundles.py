@@ -3,7 +3,8 @@
 import random
 from collections import Counter
 from functools import lru_cache
-from math import comb
+from math import comb, factorial, prod
+from operator import sub
 
 import pytest
 
@@ -249,6 +250,50 @@ def test_twisted_schur_sweep_beyond_the_walk(n):
     assert got["cases"] == 2 * n * comb(2 * n, n - 1)
     assert got["escape_count"] == len(h0_weights) == comb(2 * n, n - 2)
     assert got["escape_h0_total"] == sum(map(dim, h0_weights))
+
+
+def twisted_schur_by_row_prefixes(n):
+    # the sweep's former route, kept as the reference: one table of Weyl
+    # numerators for every r in the (n+1) x (n-2) box, filled by a walk over
+    # row prefixes, each r weighted by its n-1-r_0 escapes
+    cross = [
+        [prod(r + b - a for b in range(n + 1, 2 * n + 1)) for r in range(n - 1)]
+        for a in range(n + 1)
+    ]
+    # numerators by row prefix
+    nums = {(): 1}
+    for a in range(n + 1):
+        nums = {
+            r + (x,): num * cross[a][x] * prod(map(sub, r, range(x - a, x)))
+            for r, num in nums.items()
+            for x in range(r[-1] + 1 if r else n - 1)
+        }
+    den = prod(factorial(k) for k in range(n, 2 * n + 1))
+    count = total = 0
+    for r, num in nums.items():
+        dim, rem = divmod(num, den)
+        assert rem == 0 and dim >= 1
+        count += n - 1 - r[0]
+        total += (n - 1 - r[0]) * dim
+    return count, total
+
+
+@pytest.mark.parametrize("n", range(2, 11))
+def test_twisted_schur_pfaffian_matches_the_row_prefix_table(n):
+    # n = 2..10 covers both parities of n+1, bordered and not
+    got = _twisted_schur_vanishing(n)
+    assert (got["escape_count"], got["escape_h0_total"]) == twisted_schur_by_row_prefixes(n)
+
+
+@pytest.mark.parametrize("n, total", [
+    (11, 828674028328655751589190988662609124569825904),
+    (12, 571992589681541904357215006635632692086297131084763431),
+])
+def test_twisted_schur_h0_total_past_the_table(n, total):
+    # both routes gave these; the table takes seconds from n = 12 on
+    got = _twisted_schur_vanishing(n)
+    assert got["escape_count"] == comb(2 * n, n - 2)
+    assert got["escape_h0_total"] == total
 
 
 def test_twisted_schur_collision_interval():
