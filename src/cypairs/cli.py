@@ -27,6 +27,7 @@ import os
 import sys
 import threading
 import time
+from functools import cache
 
 from .bundles import (
     Bundle,
@@ -321,6 +322,7 @@ def _render(obj, indent=0) -> list:
     return lines
 
 
+@cache  # parse_args keeps no state between calls, so one parser serves them all
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--json", action="store_true", help="machine output")

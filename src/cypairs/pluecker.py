@@ -16,15 +16,22 @@ its row-prefix minors by Laplace expansion, and `det` runs Bareiss
 fraction-free elimination, whose divisions are exact.  The public functions
 take and return Fractions; `det` and `compound` clear each row's
 denominators, run the integer kernel and divide back.
+
+The probe reads the row support of S and of the identity control once, and
+checks each trial's compound against both with one predicate that compares
+S M with M S^T lazily, entry by entry, so a random S is refuted at entry
+(0, 0) from row 0 and column 0 of M.  Its random matrices are the values
+`randint` would draw, taken from `getrandbits` directly.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from itertools import combinations
+from functools import lru_cache
+from itertools import combinations, compress, repeat, zip_longest
 from math import comb, lcm, prod
-from operator import mul
+from operator import add, mul, ne
 
 from .symfunc import dimension_gap
 
@@ -107,20 +114,12 @@ def _compound(rows, k: int) -> tuple:
     if k == m == p:
         # the one full-order minor: the level walk would visit every column set
         return ((_bareiss(rows),),)
-    level, cols = {(): (1,)}, [()]
+    level = {(): (1,)}
     for j in range(1, k + 1):
-        at = {J: y for y, J in enumerate(combinations(range(p), j))}
-        # terms[c]: (J, J - c) index pairs, moved to terms[c + p], read against
-        # the negated row, when the cofactor sign (-1)^(j-1+t) is -1 (c = J[t])
-        terms = [[] for _ in range(2 * p)]
-        for x, K in enumerate(cols):
-            for c in set(range(p)).difference(K):
-                t = sum(b < c for b in K)
-                terms[c + p * ((j - 1 + t) % 2)].append((at[K[:t] + (c,) + K[t:]], x))
-        cols = list(at)
+        terms, width = _laplace_terms(p, j), comb(p, j)
         nxt = {}
         for I in combinations(range(m - k + j), j):
-            row, prev, out = rows[I[-1]], level[I[:-1]], [0] * len(cols)
+            row, prev, out = rows[I[-1]], level[I[:-1]], [0] * width
             for a, pairs in zip([*row, *(-v for v in row)], terms):
                 if a:
                     for y, x in pairs:
@@ -128,6 +127,24 @@ def _compound(rows, k: int) -> tuple:
             nxt[I] = tuple(out)
         level = nxt
     return tuple(level.values())
+
+
+@lru_cache(maxsize=32)
+def _laplace_terms(p: int, j: int) -> tuple:
+    """Index pairs expanding a j-minor on p columns along its last row.
+
+    terms[c] holds (J, J - c) pairs, positions of the j-set J among the
+    j-subsets of range(p) and of J - c among the (j-1)-subsets, for c = J[t];
+    the pair moves to terms[c + p], read against the negated row, when the
+    cofactor sign (-1)^(j-1+t) is -1.  They depend on (p, j) alone.
+    """
+    at = {J: y for y, J in enumerate(combinations(range(p), j))}
+    terms = [[] for _ in range(2 * p)]
+    for x, K in enumerate(combinations(range(p), j - 1)):
+        for c in set(range(p)).difference(K):
+            t = sum(b < c for b in K)
+            terms[c + p * ((j - 1 + t) % 2)].append((at[K[:t] + (c,) + K[t:]], x))
+    return tuple(map(tuple, terms))
 
 
 def _scaled(a) -> tuple:
@@ -207,30 +224,59 @@ def transposition_action(s, m) -> tuple:
     return mat_mul(mat_mul(inverse(m), transpose(s)), m)
 
 
-def _twist_fixes(s, m) -> bool:
-    """S M == M S^T for square int matrices, decided exactly column by column.
+def _support(s) -> tuple:
+    """S read once for `_twist_fixes`: (rows, layers).
 
-    Column j of S M is S (M e_j) and column j of M S^T is M (row j of S), so
-    the first unequal column certifies a non-hit; a hit compares them all.
-    Each call first reads the row support of S, one pass over its D^2
-    entries; both products then run over the nonzeros of S only.  A column
-    costs 2 nnz(S) products, so a dense S refuted at column 0 costs about
-    3 D^2 steps with the support pass, and the identity control D^2 for the
-    pass plus 2 D per column.
+    rows[i] holds the columns of the nonzeros of row i and their values;
+    layers[t] holds, for every row, the column and value of its t-th nonzero,
+    or (0, 0) past its last one, so layer t lines up with the rows of S.
     """
-    support = [([k for k, x in enumerate(row) if x], [x for x in row if x]) for row in s]
-    for col, (at, vals) in zip(zip(*m), support):
-        left = [sum(map(mul, v, map(col.__getitem__, i))) for i, v in support]
-        right = [sum(map(mul, vals, map(row.__getitem__, at))) for row in m]
-        if left != right:
+    cols = list(range(len(s[0]) if s else 0))  # shared index ints, not one per entry
+    at = [list(compress(cols, row)) for row in s]
+    vals = [list(compress(row, row)) for row in s]
+    layers = zip(zip_longest(*at, fillvalue=0), zip_longest(*vals, fillvalue=0))
+    return list(zip(at, vals)), list(layers)
+
+
+def _twist_fixes(support, m) -> bool:
+    """S M == M S^T for square int matrices, S given by its `_support`,
+    decided exactly row by row and entry by entry.
+
+    Row i of S M is the rows of M weighted by row i of S, one term per
+    nonzero of that row; row i of M S^T is S applied to row i of M, one term
+    per layer of S, entry j of layer t being its value times M[i][its
+    column].  Each row is a lazy fold of C-level iterators (`map`, `repeat`)
+    and the two are compared entry by entry, so the first unequal entry
+    certifies a non-hit: a dense random S is refuted at entry (0, 0) after
+    about 2 D products, reading only row 0 and column 0 of M.  A hit compares
+    every entry, entry (i, j) at nnz(row i of S) plus (number of layers)
+    products: two for the identity, against its one layer.
+    """
+    rows, layers = support
+    d = len(m)
+    for i, (at, vals) in enumerate(rows):
+        left = repeat(0, d)
+        for k, x in zip(at, vals):
+            left = map(add, left, map(mul, repeat(x), m[k]))
+        right, get = repeat(0, d), m[i].__getitem__
+        for cols, xs in layers:
+            right = map(add, right, map(mul, xs, map(get, cols)))
+        if any(map(ne, left, right)):
             return False
     return True
 
 
 def _random_matrix(rng, rows, cols, lo=-9, hi=9):
-    return tuple(
-        tuple(rng.randint(lo, hi) for _ in range(cols)) for _ in range(rows)
-    )
+    """rows x cols values of rng.randint(lo, hi), in order and leaving rng in
+    the same state: randint redraws getrandbits(span.bit_length()) while the
+    value is >= span.  Here each batch draws only as many as are still
+    needed, so no draw runs past the last value kept."""
+    span = hi - lo + 1
+    k, flat, need = span.bit_length(), [], rows * cols
+    while len(flat) < need:
+        batch = map(rng.getrandbits, repeat(k, need - len(flat)))
+        flat += map(lo.__add__, filter(span.__gt__, batch))
+    return tuple(tuple(flat[i * cols:(i + 1) * cols]) for i in range(rows))
 
 
 def _random_invertible(rng, d):
@@ -269,8 +315,9 @@ def symmetry_obstruction_probe(
     rng = random.Random(seed)
     N = 2 * n + 1
     D = comb(N, n)
-    s = _random_matrix(rng, D, D)
-    one = tuple(tuple(int(i == j) for j in range(D)) for i in range(D))
+    s = _support(_random_matrix(rng, D, D))
+    # the identity's support: row i holds a 1 at column i, in one layer
+    one = [([i], [1]) for i in range(D)], [(range(D), (1,) * D)]
     hits = 0
     control_hits = 0
     for _ in range(trials):

@@ -6,11 +6,15 @@ from fractions import Fraction
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cypairs import pluecker
 from cypairs.pluecker import (
     _bareiss,
     _compound,
+    _random_matrix,
+    _support,
     _twist_fixes,
     as_matrix,
     compound,
@@ -320,6 +324,20 @@ def test_symmetry_probe_matches_recorded(case):
     assert symmetry_obstruction_probe(n, trials, seed) == PROBE_RECORDED[case]
 
 
+@pytest.mark.parametrize("lo, hi", [(-9, 9), (-4, 4), (-1, 1), (0, 0)])
+def test_random_matrix_draws_the_randint_stream(lo, hi):
+    # the probe's S and g are these draws: the batched getrandbits loop must
+    # give randint's values in order and leave the generator where randint does
+    for seed in range(20):
+        for rows, cols in ((1, 1), (3, 4), (7, 7)):
+            fast, slow = random.Random(seed), random.Random(seed)
+            want = tuple(
+                tuple(slow.randint(lo, hi) for _ in range(cols)) for _ in range(rows)
+            )
+            assert _random_matrix(fast, rows, cols, lo, hi) == want
+            assert fast.getstate() == slow.getstate()
+
+
 def random_rational_matrix(rng, d):
     return as_matrix(
         [[Fraction(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(d)]
@@ -402,7 +420,7 @@ def test_twist_predicate_is_exactly_the_matrix_equation():
         for s, mat in ((fixed, p), (x, p), (fixed, m), (x, m)):
             s = tuple(map(tuple, s))
             want = product(s, mat) == product(mat, list(zip(*s)))
-            assert _twist_fixes(s, mat) is want
+            assert _twist_fixes(_support(s), mat) is want
             hits += want
             checked += 1
     assert hits >= 40 and checked - hits >= 40
@@ -452,7 +470,7 @@ def test_twist_predicate_matches_the_dense_compare():
             s = tuple(map(tuple, s))
             for mat in maps:
                 want = dense_twist_fixes(s, mat)
-                assert _twist_fixes(s, mat) is want, (s, mat)
+                assert _twist_fixes(_support(s), mat) is want, (s, mat)
                 outcomes.add((kind, want))
     assert outcomes == {(kind, hit) for kind in sections for hit in (True, False)}
 
@@ -468,9 +486,9 @@ def test_twist_predicate_full_compare_after_agreeing_vectors():
     for j in range(d):
         agree = [row[j] for row in left] == [row[j] for row in right]
         assert agree is (j < d - 1)
-    assert not _twist_fixes(s, m)
+    assert not _twist_fixes(_support(s), m)
     one = tuple(tuple(int(i == j) for j in range(d)) for i in range(d))
-    assert _twist_fixes(one, m)
+    assert _twist_fixes(_support(one), m)
 
 
 def test_twist_predicate_hits_a_symmetric_compound_section():
@@ -484,7 +502,75 @@ def test_twist_predicate_hits_a_symmetric_compound_section():
         m = _compound(product(g, list(zip(*g))), k)
         assert m == tuple(zip(*m))
         assert any(m[i][j] for i in range(len(m)) for j in range(i))
-        assert _twist_fixes(m, m)
+        assert _twist_fixes(_support(m), m)
+
+
+class Untouchable(int):
+    # an entry of M that deciding a non-hit at entry (0, 0) must not multiply
+    def __mul__(self, other):
+        raise AssertionError("multiplied M outside row 0 and column 0")
+
+    __rmul__ = __mul__
+
+
+def test_a_non_hit_is_decided_at_entry_zero_zero():
+    # (S M)[0][0] needs only column 0 of M and (M S^T)[0][0] only row 0, so a
+    # dense S that differs there is refuted without multiplying any other entry
+    rng = random.Random(211)
+    d = 35
+    s = tuple(tuple(rng.choice((-2, -1, 1, 2, 3)) for _ in range(d)) for _ in range(d))
+    m = [[rng.randint(-9, 9) for _ in range(d)] for _ in range(d)]
+    left = sum(s[0][k] * m[k][0] for k in range(d))
+    assert left != sum(s[0][k] * m[0][k] for k in range(d))
+    guarded = tuple(
+        tuple(x if 0 in (i, j) else Untouchable(x) for j, x in enumerate(row))
+        for i, row in enumerate(m)
+    )
+    assert not _twist_fixes(_support(s), guarded)
+
+
+@st.composite
+def twist_cases(draw):
+    # sections mixing all-zero rows, one-nonzero rows and dense rows against
+    # any M; S = c diag(1^r, 0^(d-r)) against a block lower triangular M,
+    # where only the zero rows of S can disagree; and two constructed hits:
+    # S = c I for any M, and S a polynomial in a symmetric M, so S^T = S
+    # commutes with M
+    d = draw(st.integers(1, 6))
+    entry = st.integers(-3, 3)
+    m = draw(st.lists(st.lists(entry, min_size=d, max_size=d), min_size=d, max_size=d))
+    kind = draw(st.sampled_from(("mixed", "zero rows", "scalar", "polynomial")))
+    c = draw(entry)
+    if kind == "mixed":
+        single = st.tuples(st.integers(0, d - 1), entry.filter(bool)).map(
+            lambda at: [at[1] if j == at[0] else 0 for j in range(d)]
+        )
+        dense = st.lists(entry, min_size=d, max_size=d)
+        rows = st.one_of(st.just([0] * d), single, dense)
+        s = draw(st.lists(rows, min_size=d, max_size=d))
+    elif kind == "zero rows":
+        r = draw(st.integers(0, d))
+        m = [[0 if i < r <= j else x for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+        s = [[c * (i == j < r) for j in range(d)] for i in range(d)]
+    elif kind == "scalar":
+        s = [[c * (i == j) for j in range(d)] for i in range(d)]
+    else:
+        m = [[m[i][j] + m[j][i] for j in range(d)] for i in range(d)]
+        a, b = draw(entry), draw(entry)
+        square = product(m, m)
+        s = [[a * (i == j) + b * m[i][j] + c * square[i][j] for j in range(d)]
+             for i in range(d)]
+    return kind, tuple(map(tuple, s)), tuple(map(tuple, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(twist_cases())
+def test_twist_predicate_matches_the_dense_compare_property(case):
+    kind, s, m = case
+    want = dense_twist_fixes(s, m)
+    assert want or kind not in ("scalar", "polynomial")
+    assert _twist_fixes(_support(s), m) is want
 
 
 def test_empty_matrices_are_accepted():
