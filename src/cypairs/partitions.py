@@ -20,12 +20,15 @@ each side's move (1 for p_m, n for p_m[e_n]), and returns the nonzero Schur
 coefficients.  It runs over the rho, parts non-increasing, and shares their
 prefixes: going down, it removes the parts one at a time from the start
 shape and cuts a prefix that leaves nothing; coming back up, it adds them
-to the origin shape.  Both maps move beads of beta-sets held as bitmasks
-(Macdonald I.3 and I.7), which no caller sees: p_m moves one bead m places,
-a border strip signed by the Murnaghan-Nakayama rule.  The walk scales
-every weight by w!, for rho |- w, so the sums are exact integers; a
-remainder or a negative coefficient contradicts Schur positivity and
-raises.
+to the origin shape.  It branches on the parts of 2 or more only and sums
+the tail of 1s of each prefix in closed form: the single-box chains down
+to the empty shape are counted once per down-state (g), and the single
+boxes are added to the origin once per count r (T_r).  Both maps move
+beads of beta-sets held as bitmasks (Macdonald I.3 and I.7), which no
+caller sees: p_m moves one bead m places, a border strip signed by the
+Murnaghan-Nakayama rule.  The walk scales every weight by w!, for
+rho |- w, so the sums are exact integers; a remainder or a negative
+coefficient contradicts Schur positivity and raises.
 """
 
 from __future__ import annotations
@@ -144,10 +147,21 @@ def _border_strips(beads, m, grow, n=1):
     jumps.  The beads of a set move in turn, from the bottom up when removing
     and from the top down when adding, so each target is empty or was just
     left by an earlier bead, and each sign is taken on the beads as the
-    earlier moves left them.  Only beads whose target is free are visited.
-    Moves keep the number of beads, so adding never gives a shape with more
-    than L rows.
+    earlier moves left them.  Only beads whose target is free are visited,
+    and a bead starts a partial set only if enough beads lie beyond it to
+    finish the set.  Moves keep the number of beads, so adding never gives a
+    shape with more than L rows.
     """
+    if n == 1:  # one bead: every free target is one strip
+        out = []
+        free = beads & ~(beads >> m) if grow else beads & ~(beads << m) & ~((1 << m) - 1)
+        while free:
+            bit = free & -free
+            free ^= bit
+            lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
+            jumped = (beads & hi - (lo << 1)).bit_count()
+            out.append((beads ^ lo ^ hi, -1 if jumped & 1 else 1))
+        return out
     out = []
 
     def move(now, sign, rest, left):
@@ -156,13 +170,19 @@ def _border_strips(beads, m, grow, n=1):
         while free:
             bit = free & -free
             free ^= bit
+            # the later beads of the set lie beyond this one
+            later = rest & bit - 1 if grow else rest & -(bit << 1)
+            if later.bit_count() < left - 1:
+                if grow:
+                    continue
+                break  # removing, every bead further up has fewer beyond it
             lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
             jumped = (now & hi - (lo << 1)).bit_count()
-            moved = now ^ lo ^ hi, -sign if jumped & 1 else sign
+            moved, signed = now ^ lo ^ hi, -sign if jumped & 1 else sign
             if left == 1:
-                out.append(moved)
-            else:  # the later beads of the set lie beyond this one
-                move(*moved, rest & bit - 1 if grow else rest & -(bit << 1), left - 1)
+                out.append((moved, signed))
+            else:
+                move(moved, signed, later, left - 1)
 
     move(beads, 1, beads, n)
     return out
@@ -186,42 +206,71 @@ def _walk(start, origin, rows, down=1, up=1):
 
     D_rho removes the parts of rho from `start`, and U_rho adds them to
     `origin` on `rows` beads; a part m is the move of `_border_strips` on
-    `down` or `up` beads, which is p_m at 1 and p_m[e_n] at n.  Going down
-    a prefix, a prefix with nothing left is cut, since every rho it starts
-    adds 0.  Coming back up, the parts after the prefix are added to what
-    the rest of the walk returns.  That side keeps `rows` beads, which drops
-    every shape with more rows: a strip never removes a row, so no such
-    shape leads to one that fits.  The moves are memoized for this call.
+    `down` or `up` beads, which is p_m at 1 and p_m[e_n] at n.  The walk
+    branches on the parts of 2 or more only.  A node whose prefix mu leaves
+    r boxes holds the down-states b of D_mu s_start with their weights x.
+    Its child of part 1 starts one chain, rho = mu 1^r, which the node adds
+    in closed form:
+
+        (sum over b of x g(b)) w! / (z_mu r!) T_r,
+
+    since z_rho = z_mu r! when mu has no part 1.  Here g(b) = <D_1^r s_b, 1>
+    is memoized on the down-states, g(empty) = 1 and g(b) = sum of sign
+    g(b') over the one-place moves b -> b', and T_r = U_1^r s_origin is
+    built once, T_0 = s_origin and T_r = U_1 T_(r-1).  Going down a prefix,
+    a prefix with nothing left is cut, since every rho it starts adds 0.
+    Coming back up, the parts after the prefix are added to what the rest
+    of the walk returns.  That side keeps `rows` beads, which drops every
+    shape with more rows: a strip never removes a row, so no such shape
+    leads to one that fits.  The moves, g and T_r live for this call.
     """
     w = weight(start) // down
     scale = factorial(w)
     memo = {}
+    chains = {_beads((), len(start)): 1}  # g on the down-states
+    tails = [{_beads(origin, rows): 1}]  # T_0, T_1, ... as far as needed
+
+    def moves(b, m, grow):
+        got = memo.get((b, m, grow))
+        if got is None:
+            got = memo[b, m, grow] = _border_strips(b, m, grow, up if grow else down)
+        return got
 
     def spread(out, terms, m, grow):
         # adds to `out` the image of `terms` under the move of m places
         for b, x in terms.items():
-            moves = memo.get((b, m, grow))
-            if moves is None:
-                moves = _border_strips(b, m, grow, up if grow else down)
-                memo[b, m, grow] = moves
-            for b2, y in moves:
+            for b2, y in moves(b, m, grow):
                 out[b2] = out.get(b2, 0) + x * y
         return out
 
+    def chain(b):
+        g = chains.get(b)
+        if g is None:
+            g = 0
+            for b2, y in moves(b, 1, False):
+                g += y * chain(b2)
+            chains[b] = g
+        return g
+
     def visit(prefix, left, terms):
-        if not left:
-            # terms holds <D_prefix start, 1>, on the empty shape
-            (value,) = terms.values()
-            return {_beads(origin, rows): value * (scale // _z(prefix))}
         out = {}
-        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
+        tail = sum(x * chain(b) for b, x in terms.items())
+        if tail:
+            while len(tails) <= left:
+                tails.append(spread({}, tails[-1], 1, True))
+            tail *= scale // (_z(prefix) * factorial(left))
+            out = {b: tail * x for b, x in tails[left].items()}
+        for m in range(min(left, prefix[-1] if prefix else left), 1, -1):
             below = {b: x for b, x in spread({}, terms, m, False).items() if x}
             if below:
                 spread(out, visit(prefix + (m,), left - m, below), m, True)
         return out
 
     total = visit((), w, {_beads(start, len(start)): 1})
-    memo.clear()  # visit refers to itself, so only the cycle collector would free this
+    # visit refers to itself, so only the cycle collector would free these
+    memo.clear()
+    chains.clear()
+    tails.clear()
     out = {}
     for mu in partitions_of(weight(origin) + up * w, max_rows=rows):
         c, rest = divmod(total.get(_beads(mu, rows), 0), scale)

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import math
 import random
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from cypairs import partitions
+from cypairs import partitions, symfunc
 from cypairs.partitions import (
     check_partition,
     conjugate,
@@ -293,6 +294,128 @@ def test_walk_refuses_a_wrong_strip_map(monkeypatch, corrupt):
         littlewood_richardson((2, 1), (2, 1), 3)
     with pytest.raises(AssertionError):
         plethysm_wedge((2, 1), 2)
+
+
+# the walk that recursed once per part of rho, 1s included, before the
+# tail of 1s was summed in closed form, kept as the reference
+def walk_per_part(start, origin, rows, down=1, up=1):
+    w = weight(start) // down
+    scale = math.factorial(w)
+    memo = {}
+
+    def spread(out, terms, m, grow):
+        for b, x in terms.items():
+            moves = memo.get((b, m, grow))
+            if moves is None:
+                moves = partitions._border_strips(b, m, grow, up if grow else down)
+                memo[b, m, grow] = moves
+            for b2, y in moves:
+                out[b2] = out.get(b2, 0) + x * y
+        return out
+
+    def visit(prefix, left, terms):
+        if not left:
+            (value,) = terms.values()
+            return {partitions._beads(origin, rows): value * (scale // partitions._z(prefix))}
+        out = {}
+        for m in range(min(left, prefix[-1] if prefix else left), 0, -1):
+            below = {b: x for b, x in spread({}, terms, m, False).items() if x}
+            if below:
+                spread(out, visit(prefix + (m,), left - m, below), m, True)
+        return out
+
+    total = visit((), w, {partitions._beads(start, len(start)): 1})
+    out = {}
+    for mu in partitions_of(weight(origin) + up * w, max_rows=rows):
+        c, rest = divmod(total.get(partitions._beads(mu, rows), 0), scale)
+        assert rest == 0 and c >= 0
+        if c:
+            out[mu] = c
+    return out
+
+
+def single_box_chain(beads, n):
+    # <D_1^r s_b, 1> for the n-bead move of one place, by plain recursion
+    if beads == (1 << beads.bit_length()) - 1:
+        return 1
+    return sum(y * single_box_chain(b, n) for b, y in partitions._border_strips(beads, 1, False, n))
+
+
+def _lr_setups():
+    # plain strips both ways, onto a non-empty origin, on len(a) to 4 rows:
+    # fewer than many of the products have
+    pool = [p for w in range(6) for p in partitions_of(w)]
+    for a, b in itertools.product(pool, pool):
+        if a and weight(a) + weight(b) <= 8:
+            for rows in range(len(a), 5):
+                yield b, a, rows, 1, 1
+
+
+def _plethysm_setups():
+    # plain strips down from lam, n-bead moves up onto the empty shape
+    for n, top in ((2, 5), (3, 4)):
+        for w in range(top + 1):
+            for lam in partitions_of(w):
+                for rows in sorted({1, n, 2 * n + 1, n * w}):
+                    yield lam, (), rows, 1, n
+
+
+def _det_setups():
+    # n-bead moves down from every shape of n*w boxes on enough beads,
+    # plain strips up onto the empty shape; many starts, and many of the
+    # down-states inside the walk, have a single-box chain that dies
+    for n, top in ((2, 5), (3, 3)):
+        for w in range(top + 1):
+            for lam in partitions_of(n * w):
+                for pad in range(max(n - len(lam), 0), n + 1):
+                    start = lam + (0,) * pad
+                    for rows in sorted({1, 2, w, math.comb(2 * n + 1, n)}):
+                        yield start, (), rows, n, 1
+
+
+@pytest.mark.parametrize("setups", [_lr_setups, _plethysm_setups, _det_setups],
+                         ids=["lr", "plethysm", "det"])
+def test_walk_sums_the_tail_of_ones_like_the_per_part_walk(setups):
+    # values and key order, including rows fewer than the shapes have
+    dead = 0
+    for start, origin, rows, down, up in setups():
+        got = partitions._walk(start, origin, rows, down, up)
+        want = walk_per_part(start, origin, rows, down, up)
+        assert list(got.items()) == list(want.items()), (start, origin, rows, down, up)
+        beads = partitions._beads(start, len(start))
+        dead += not single_box_chain(beads, down)
+    if setups is _det_setups:
+        assert dead > 0
+
+
+class CountedMoves(list):
+    """A list of moves that counts, per bead set, how often it is read."""
+
+    reads = collections.Counter()
+
+    def __init__(self, moves, key):
+        super().__init__(moves)
+        self.key = key
+
+    def __iter__(self):
+        self.reads[self.key] += 1
+        return super().__iter__()
+
+
+def test_walk_reads_each_single_box_up_move_once(monkeypatch):
+    # T_r is built once per walk, so the one-place up moves of a shape are
+    # read once, where every chain of 1s read them again
+    strips = partitions._border_strips
+    monkeypatch.setattr(CountedMoves, "reads", collections.Counter())
+    monkeypatch.setattr(
+        partitions,
+        "_border_strips",
+        lambda beads, m, grow, n=1: CountedMoves(strips(beads, m, grow, n), (beads, m, grow)),
+    )
+    k, mults = symfunc._det_multiplicities(2, 15, 30)
+    assert (k, mults[(7, 4, 2, 1, 1)]) == (6, 2)
+    ups = [reads for (beads, m, grow), reads in CountedMoves.reads.items() if grow and m == 1]
+    assert len(ups) > 100 and max(ups) == 1
 
 
 def test_lr_rejects_bad_input():
