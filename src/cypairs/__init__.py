@@ -2,15 +2,16 @@
 the two Grassmannians G(n, 2n+1) and G(n+1, 2n+1) by one section of the
 twisted dual quotient bundle.
 
-The subpackages compute, with integer or rational arithmetic throughout:
+The modules compute, with integer or rational arithmetic throughout:
 
 - partitions: partition combinatorics, Weyl dimensions, product rules;
 - symfunc: plethysms of wedge powers and the determinant witness search;
 - bwb: cohomology of irreducible homogeneous bundles on G(n, 2n+1);
 - koszul: Koszul pages, restriction to the zero locus, the family count;
 - bundles: bundle tensor calculus and the vanishing claims table;
-- motivic: Grothendieck ring classes and the L-equivalence certificate;
+- motivic: classes as coefficient lists in L, the L-equivalence certificate;
 - hodge: the middle-degree comparison deciding Hodge-isometry parity;
+- minors: the exact integer kernel, Bareiss determinants and compounds;
 - pluecker: exact Pluecker coordinates and the section symmetry probe;
 - cli: the `cypairs` command line front end.
 """
@@ -36,7 +37,7 @@ from .koszul import (
     koszul_page,
     restricted_cohomology,
 )
-from .motivic import LPoly, class_flag, gaussian_binomial, l_equivalence_certificate
+from .motivic import class_flag, gaussian_binomial, l_equivalence_certificate
 from .partitions import littlewood_richardson, partitions_of, weyl_dimension
 from .pluecker import (
     compound,
@@ -59,7 +60,6 @@ __all__ = [
     "Bundle",
     "BudgetExceeded",
     "CohomologyGroup",
-    "LPoly",
     "RestrictedCohomology",
     "canonicalize",
     "class_flag",

@@ -24,8 +24,8 @@ from operator import add
 
 from .bwb import Bundle, _as_summands, canonicalize, cohomology
 from .koszul import deformation_sweep, koszul_page, restricted_cohomology
+from .minors import _bareiss
 from .partitions import littlewood_richardson, weyl_dimension
-from .pluecker import _bareiss
 
 
 def wedge_q(k: int, n: int, t: int = 0) -> Bundle:

@@ -19,8 +19,7 @@ def poincare_grassmannian(n: int, N: int) -> dict:
     """Betti numbers {degree: rank} of G(n, N); odd degrees are absent."""
     if not 0 <= n <= N:
         raise ValueError(f"G({n}, {N}) is empty")
-    g = gaussian_binomial(N, n)
-    return {2 * j: g.coefficient(j) for j in range(g.degree + 1)}
+    return {2 * j: b for j, b in enumerate(gaussian_binomial(N, n))}
 
 
 def middle_decomposition(n: int) -> dict:

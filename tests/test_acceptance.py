@@ -138,6 +138,23 @@ CLAIM_DIGESTS = {
     (10, "verify_vanishing_claims"): "a779a1979461fbbd4da0700e5b349a620b1ae27e3d5eebf4068e5a33da7140e2",
     (11, "verify_vanishing_claims"): "29e3cb8c5611d09b0a655fefc407060dc20d353510dc12c1c3b88d6006bb6f02",
     (12, "verify_vanishing_claims"): "ff9cf3884bcf81166c3507e5f5bfe8a616a2b70b3c1c1ba56855cbfc609abc08",
+    # recorded from the LPoly-based motivic layer, before classes became
+    # plain coefficient lists
+    (5, "l_equivalence_certificate"): "6dc53eb117f731a7a28f895d7f6d22dc9378af12258c30440ff8f59a390f04ff",
+    (5, "middle_decomposition"): "429bc3990ee2d5b58791760b6ed1433eb81c86242f36b8e7173210a93bb7c970",
+    (8, "l_equivalence_certificate"): "b1d36da4c19260c35ccc25bfeb9d0ad041940f71360c06f6b9c9099fd4fb0809",
+    (8, "middle_decomposition"): "c755dda21b1760add63604d1080e381780e0c5bd6da4d0d0b9a6d1d089ad9a8e",
+    (12, "l_equivalence_certificate"): "d196398d7991988e1a7438cdefe26017d43e7feb228d62a562b5b02b90f18e18",
+    (12, "middle_decomposition"): "416d81f1cd91cd46354305004807c003459c2f7cbc6ebcc915ec8a24bcc26b3a",
+    (40, "l_equivalence_certificate"): "a564a26efe531987f300e121d9e878aea6f55cd3533e520e1c32b955d98597e1",
+    (40, "middle_decomposition"): "2ded7372928f9643409f03e088790b41ba0569c6310341e13462ea87c88d3e07",
+}
+
+REPORTS = {
+    "verify_vanishing_claims": verify_vanishing_claims,
+    "family_dimension": lambda n: family_dimension(n, detail=True),
+    "l_equivalence_certificate": l_equivalence_certificate,
+    "middle_decomposition": middle_decomposition,
 }
 
 
@@ -145,10 +162,7 @@ CLAIM_DIGESTS = {
 def test_claim_reports_match_recorded_digests(n, name):
     # budget: 1 second per report
     start = time.perf_counter()
-    if name == "verify_vanishing_claims":
-        report = verify_vanishing_claims(n)
-    else:
-        report = family_dimension(n, detail=True)
+    report = REPORTS[name](n)
     assert time.perf_counter() - start < 1.0
     text = json.dumps(report, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == CLAIM_DIGESTS[n, name]

@@ -1,5 +1,7 @@
 """The package layers: every import sits at module top and the relative
-imports form no cycle, so `koszul` stays below `bundles` and `cli`."""
+imports form no cycle, so `koszul` stays below `bundles` and `cli`, and the
+integer kernel `minors` imports nothing from the package, so `bundles` reads
+its minors without the probe's module."""
 
 import ast
 from graphlib import TopologicalSorter
@@ -39,4 +41,6 @@ def test_no_import_inside_a_function():
 def test_relative_imports_form_no_cycle():
     graph = {name: relative_imports(tree) for name, tree in TREES.items()}
     assert graph["koszul"].isdisjoint({"bundles", "cli"}), graph["koszul"]
+    assert graph["minors"] == set(), graph["minors"]
+    assert "pluecker" not in graph["bundles"], graph["bundles"]
     tuple(TopologicalSorter(graph).static_order())  # raises CycleError on a cycle

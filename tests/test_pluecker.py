@@ -10,9 +10,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cypairs import pluecker
+from cypairs.minors import _bareiss, _compound
 from cypairs.pluecker import (
-    _bareiss,
-    _compound,
     _random_matrix,
     _support,
     _twist_fixes,
