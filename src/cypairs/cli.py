@@ -51,6 +51,9 @@ _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
 # the largest n each command takes: about 2 s or less in a fresh process on
 # 2 vCPUs, where n + 50 takes two to three times as long (see the README)
 _MAX_SIZE = {"bwb": 200, "decompose": 200, "koszul": 150, "motivic": 150, "hodge": 250}
+# the largest --budget-degree D plethysm takes: --lam 1 --wedge D --nvars 2D
+# answers in about 1.6 s at D = 50 and in 7.7 s at D = 60 (see the README)
+_MAX_BUDGET = 50
 
 
 def _exit_code(result) -> int:
@@ -248,11 +251,14 @@ def cmd_hodge(args) -> dict:
 
 
 def cmd_plethysm(args) -> dict:
+    budget = args.budget_degree
+    if (budget or 0) > _MAX_BUDGET:  # refused before any work
+        raise ValueError(f"plethysm takes --budget-degree up to {_MAX_BUDGET}, not {budget}")
     lam = check_partition(_ints(args.lam))
     N = 2 * args.wedge + 1 if args.nvars is None else args.nvars
     out = {"lam": list(lam), "wedge": args.wedge}
     try:
-        expansion = plethysm_wedge(lam, args.wedge, N=N, budget=args.budget_degree)
+        expansion = plethysm_wedge(lam, args.wedge, N=N, budget=budget)
     except BudgetExceeded as exc:
         out["status"] = "indeterminate"
         out["reason"] = str(exc)
@@ -361,7 +367,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lam", required=True, help="comma partition")
     p.add_argument("--wedge", type=int, required=True, help="wedge order k")
     p.add_argument("--nvars", type=int, default=None)
-    p.add_argument("--budget-degree", type=int, default=None)
+    p.add_argument("--budget-degree", type=int, help=f"cap on k*|lam|, 0..{_MAX_BUDGET}")
     p.set_defaults(handler=cmd_plethysm)
 
     p = sub.add_parser("pluecker", parents=[common], help="section symmetry probe")

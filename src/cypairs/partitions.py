@@ -26,9 +26,10 @@ to the empty shape are counted once per down-state (g), and the single
 boxes are added to the origin once per count r (T_r).  Both maps move
 beads of beta-sets held as bitmasks (Macdonald I.3 and I.7), which no
 caller sees: p_m moves one bead m places, a border strip signed by the
-Murnaghan-Nakayama rule.  The walk scales every weight by w!, for
-rho |- w, so the sums are exact integers; a remainder or a negative
-coefficient contradicts Schur positivity and raises.
+Murnaghan-Nakayama rule, and p_m[e_n] moves n, all by one loop over a
+stack.  The walk scales every weight by w!, for rho |- w, so the sums are
+exact integers; a remainder or a negative coefficient contradicts Schur
+positivity and raises.
 """
 
 from __future__ import annotations
@@ -147,44 +148,35 @@ def _border_strips(beads, m, grow, n=1):
     jumps.  The beads of a set move in turn, from the bottom up when removing
     and from the top down when adding, so each target is empty or was just
     left by an earlier bead, and each sign is taken on the beads as the
-    earlier moves left them.  Only beads whose target is free are visited,
-    and a bead starts a partial set only if enough beads lie beyond it to
-    finish the set.  Moves keep the number of beads, so adding never gives a
-    shape with more than L rows.
+    earlier moves left them.  The partial sets wait on one stack as (beads,
+    sign, beads that may move next, beads still to move).  Only beads whose
+    target is free are visited, and a bead starts a partial set only if
+    enough beads lie beyond it to finish the set.  Moves keep the number of
+    beads, so adding never gives a shape with more than L rows.
     """
-    if n == 1:  # one bead: every free target is one strip
-        out = []
-        free = beads & ~(beads >> m) if grow else beads & ~(beads << m) & ~((1 << m) - 1)
-        while free:
-            bit = free & -free
-            free ^= bit
-            lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
-            jumped = (beads & hi - (lo << 1)).bit_count()
-            out.append((beads ^ lo ^ hi, -1 if jumped & 1 else 1))
-        return out
     out = []
-
-    def move(now, sign, rest, left):
+    stack = [(beads, 1, beads, n)]
+    while stack:
+        now, sign, rest, left = stack.pop()
         # the beads of `rest` whose target is free
         free = rest & ~(now >> m) if grow else rest & ~(now << m) & ~((1 << m) - 1)
         while free:
             bit = free & -free
             free ^= bit
-            # the later beads of the set lie beyond this one
-            later = rest & bit - 1 if grow else rest & -(bit << 1)
-            if later.bit_count() < left - 1:
-                if grow:
-                    continue
-                break  # removing, every bead further up has fewer beyond it
+            if left > 1:
+                # the later beads of the set lie beyond this one
+                later = rest & bit - 1 if grow else rest & -(bit << 1)
+                if later.bit_count() < left - 1:
+                    if grow:
+                        continue
+                    break  # removing, every bead further up has fewer beyond it
             lo, hi = (bit, bit << m) if grow else (bit >> m, bit)
             jumped = (now & hi - (lo << 1)).bit_count()
             moved, signed = now ^ lo ^ hi, -sign if jumped & 1 else sign
             if left == 1:
                 out.append((moved, signed))
             else:
-                move(moved, signed, later, left - 1)
-
-    move(beads, 1, beads, n)
+                stack.append((moved, signed, later, left - 1))
     return out
 
 

@@ -71,7 +71,7 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         raise ValueError("need 1 <= n <= N")
     w = sum(lam)
     _check_budget(n * w, N, budget)
-    if len(lam) > comb(N, n):  # S^lam of a space of dimension C(N, n) is 0
+    if lam and len(lam) > comb(N, n):  # S^lam(C^comb(N, n)) = 0; lam = () skips comb
         return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
         return {lam: 1}

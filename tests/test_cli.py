@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
-from cypairs.cli import _MAX_SIZE, CLAIMS, _exit_code, _parse_expression, main
+from cypairs.cli import _MAX_BUDGET, _MAX_SIZE, CLAIMS, _exit_code, _parse_expression, main
 from cypairs.pluecker import symmetry_obstruction_probe
 
 
@@ -366,16 +366,20 @@ def test_plethysm_command(capsys):
 
 
 def test_plethysm_nvars_past_the_degree_costs_nothing(capsys):
-    # budget: 1 second for both; no shape of n|lam| boxes has more rows, and
-    # det^0 = s_() is read without building a shape of N rows
+    # budget: 1 second for all three; no shape of n|lam| boxes has more rows,
+    # det^0 = s_() is read without building a shape of N rows, and the empty
+    # lam is not compared with C(N, n), a 600,000-digit number at n = 10^6
     argv = ["plethysm", "--wedge", "2", "--nvars"]
     t0 = time.perf_counter()
     _, out = run_json(capsys, [*argv, "1000000", "--lam", "2,1"])
     _, empty = run_json(capsys, [*argv, "1000000", "--lam", ""])
+    _, wide = run_json(capsys, ["plethysm", "--lam", "", "--wedge", "1000000"])
     assert time.perf_counter() - t0 < 1.0
     _, small = run_json(capsys, [*argv, "6", "--lam", "2,1"])
     assert out["expansion"]["terms"] == small["expansion"]["terms"]
     assert empty["determinant"] == {"power": 0, "multiplicity": 1}
+    assert wide["expansion"]["terms"] == [{"mu": [], "coeff": 1}]
+    assert wide["determinant"] == {"power": 0, "multiplicity": 1}
 
 
 def test_pluecker_command_is_deterministic(capsys):
@@ -552,6 +556,7 @@ def test_parse_error_exits_two(capsys):
     ["decompose", "O(1)\n# twisted\n+ Q", "--n", "2"],
     ["verify", "--n", "2,,3"],
     ["plethysm", "--lam", "2,,1", "--wedge", "2"],
+    ["plethysm", "--lam", "1", "--wedge", "2000", "--nvars", "4000", "--budget-degree", "2000"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -604,6 +609,30 @@ def test_commands_refuse_sizes_past_their_range(capsys, argv):
         assert out == b""
         (line,) = err.decode().splitlines()
         assert line == f"error: {argv[0]} takes n up to {top}, not {n}"
+
+
+def test_plethysm_refuses_budgets_past_its_range(capsys):
+    # budget: 5 seconds per refusal, in a fresh process; --budget-degree 2000
+    # used to read all p(2000) shapes of 2000 boxes.  The range is stated in
+    # --help, takes its top value, and holds the bench's --budget-degree 15
+    with pytest.raises(SystemExit):
+        main(["plethysm", "--help"])
+    assert f"0..{_MAX_BUDGET}" in capsys.readouterr().out
+    assert 15 <= _MAX_BUDGET
+    code, out = run_json(capsys, ["plethysm", "--lam", "2,1", "--wedge", "2",
+                                  "--budget-degree", str(_MAX_BUDGET)])
+    assert code == 0 and out["status"] == "pass"
+    for budget in (_MAX_BUDGET + 1, 2000):
+        proc = _run_cli("plethysm", "--lam", "1", "--wedge", str(budget),
+                        "--nvars", str(2 * budget), "--budget-degree", str(budget))
+        try:
+            out, err = proc.communicate(timeout=5)
+        finally:
+            proc.kill()
+        assert proc.returncode == 2
+        assert out == b""
+        (line,) = err.decode().splitlines()
+        assert line == f"error: plethysm takes --budget-degree up to {_MAX_BUDGET}, not {budget}"
 
 
 @pytest.mark.parametrize("sizes", ["2,3,4,5,8", "2,1", "1,3"])

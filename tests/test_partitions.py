@@ -418,6 +418,15 @@ def test_walk_reads_each_single_box_up_move_once(monkeypatch):
     assert len(ups) > 100 and max(ups) == 1
 
 
+def test_border_strips_moves_as_many_beads_as_the_stack_holds():
+    # one bead of each of 2000 rows moves up one place: a single vertical
+    # strip, the column (1^2000), with no bead jumped; a move that recursed
+    # once per bead ran out of Python frames here
+    beads = partitions._beads((), 2000)
+    moves = partitions._border_strips(beads, 1, True, 2000)
+    assert moves == [(partitions._beads((1,) * 2000, 2000), 1)]
+
+
 def test_lr_rejects_bad_input():
     with pytest.raises(ValueError):
         littlewood_richardson((1,), (1,), 0)
