@@ -48,12 +48,11 @@ from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
 
-# the largest n each command takes: about 2 s or less in a fresh process on
-# 2 vCPUs, where n + 50 takes two to three times as long (see the README)
+# the largest n each command takes, within 2 s in a fresh process (see the README)
 _MAX_SIZE = {"bwb": 200, "decompose": 200, "koszul": 150, "motivic": 150, "hodge": 250}
-# the largest --budget-degree D plethysm takes: --lam 1 --wedge D --nvars 2D
-# answers in about 1.6 s at D = 50 and in 7.7 s at D = 60 (see the README)
-_MAX_BUDGET = 50
+# the largest --budget-degree D plethysm takes, timed on its costliest shapes
+# at --nvars D: 1.4-2.0 s at D = 34 and 2.5-3.3 s at 36 (see the README)
+_MAX_BUDGET = 34
 
 
 def _exit_code(result) -> int:

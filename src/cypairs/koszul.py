@@ -113,11 +113,11 @@ def deformation_sweep(n: int) -> dict:
     identically is what splices family 1 into the tangent restriction one
     degree up.  There is no top-degree key: the degree is read off the cells.
     By the dual Pieri rule wedge^n Q (x) Q = e_n e_1 = s_(2,1^{n-1}) +
-    s_(1^{n+1}): the vertical 1-strips on (1^n, 0), full column and all.
+    s_(1^{n+1}), full column and all.
     """
-    strips = _vertical_strips((1,) * n + (0,))
     pages = (
-        (1, koszul_page({Bundle((), mu, -1): 1 for mu, l in strips if l == 1}, n)),
+        (1, koszul_page({Bundle((), (2,) + (1,) * (n - 1), -1): 1,
+                         Bundle((), (1,) * (n + 1), -1): 1}, n)),
         (2, koszul_page(Bundle((), (1,), 0), n)),
     )
     cells = sorted(

@@ -118,9 +118,10 @@ def partitions_of(w: int, max_part: int | None = None, max_rows: int | None = No
 def weyl_dimension(w, rank: int | None = None) -> int:
     """Dimension of the irreducible GL(rank) representation of highest weight w.
 
-    Computes prod_{i<j} (w_i - w_j + j - i) / (j - i) over exact integers,
-    reducing the single quotient at the end.  Entries may be negative; w is
-    padded with zeros up to `rank` and must end up weakly decreasing.
+    It is prod_{i<j} (l_i - l_j) / (j - i), l_i = w_i - i, taken one prefix
+    at a time: step j takes the pairs (i, j) and divides by j!, exactly, as
+    d is then the GL(j+1) dimension of w[:j+1].  Entries may be negative; w
+    is padded with zeros up to `rank` and must end up weakly decreasing.
     """
     w = tuple(w)
     if rank is None:
@@ -130,12 +131,12 @@ def weyl_dimension(w, rank: int | None = None) -> int:
     w = w + (0,) * (rank - len(w))
     if any(w[i] < w[i + 1] for i in range(rank - 1)):
         raise ValueError(f"weight is not weakly decreasing: {w!r}")
-    num = prod(w[i] - w[j] + j - i for i in range(rank) for j in range(i + 1, rank))
-    # prod_{i<j} (j - i) is the superfactorial prod_{k<rank} k!
-    den = prod(factorial(k) for k in range(rank))
-    q, r = divmod(num, den)
-    assert r == 0 and q >= 1
-    return q
+    l = [x - i for i, x in enumerate(w)]
+    d = 1
+    for j in range(1, rank):
+        d, r = divmod(d * prod(x - l[j] for x in l[:j]), factorial(j))
+        assert r == 0 and d >= 1
+    return d
 
 
 def _border_strips(beads, m, grow, n=1):
@@ -212,11 +213,13 @@ def _walk(start, origin, rows, down=1, up=1):
     built once, T_0 = s_origin and T_r = U_1 T_(r-1).  Going down a prefix,
     a prefix with nothing left is cut, since every rho it starts adds 0.
     Coming back up, the parts after the prefix are added to what the rest
-    of the walk returns.  That side keeps `rows` beads, which drops every
-    shape with more rows: a strip never removes a row, so no such shape
-    leads to one that fits.  The moves, g and T_r live for this call.
+    of the walk returns.  That side keeps min(rows, len(origin) + up * w)
+    beads: a strip never removes a row, so a shape past `rows` leads to no
+    fit, and a part m adds `up` strips of at most m rows each, so no shape
+    reached has more.  The moves, g and T_r live for this call.
     """
     w = weight(start) // down
+    rows = min(rows, len(origin) + up * w)
     scale = factorial(w)
     memo = {}
     chains = {_beads((), len(start)): 1}  # g on the down-states
@@ -279,7 +282,7 @@ def littlewood_richardson(a, b, rank: int) -> dict[tuple, int]:
     Returns {mu: c^mu_{a,b}} in graded lex order, with every coefficient
     positive.  The factors are swapped so that b has fewer boxes, since
     c^mu_{a,b} = c^mu_{b,a} and the walk runs over the rho |- |b|; it adds
-    strips to a on `rank` beads, which drops every mu with more rows.
+    strips to a on at most `rank` beads, which drops every mu with more rows.
     """
     if rank < 1:
         raise ValueError("rank must be >= 1")

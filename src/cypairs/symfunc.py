@@ -59,10 +59,8 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
     """Schur expansion of s_lam[e_n] in N variables (default N = 2n+1).
 
     Returns {mu: coefficient} with all coefficients positive; mu have at most
-    N rows.  Raises BudgetExceeded when n*|lam| is over budget, never silently
-    truncates.  The walk keeps min(N, n*|lam|) beads on the expansion side:
-    s_mu = 0 in N variables once mu has more than N rows, and no mu of
-    n*|lam| boxes has more than n*|lam|, so a large N costs nothing.
+    N rows, since s_mu = 0 in N variables past them.  Raises BudgetExceeded
+    when n*|lam| is over budget, never silently truncates.
     """
     lam = check_partition(lam)
     if N is None:
@@ -75,7 +73,7 @@ def plethysm_wedge(lam, n: int, N: int | None = None, budget: int | None = None)
         return {}
     if n == 1:  # e_1 = p_1, so s_lam[e_1] = s_lam
         return {lam: 1}
-    return _walk(lam, (), min(N, n * w), up=n)
+    return _walk(lam, (), N, up=n)
 
 
 def _det_multiplicities(n, w, budget):
@@ -84,8 +82,8 @@ def _det_multiplicities(n, w, budget):
     2n+1; (None, {}) unless N divides n*w.
 
     The walk removes p_m[e_n] from (k^N) and adds plain strips to the
-    empty shape, on min(w, binomial(N, n)) beads: s_lam[e_n] = 0 in N
-    variables once lam has more rows than e_n has monomials.
+    empty shape, on binomial(N, n) rows: s_lam[e_n] = 0 in N variables
+    once lam has more rows than e_n has monomials.
     """
     N = 2 * n + 1
     k, r = divmod(n * w, N)
@@ -93,7 +91,7 @@ def _det_multiplicities(n, w, budget):
     _check_budget(0 if r else n * w, N, budget)
     if r:
         return None, {}
-    return k, _walk((k,) * N, (), min(w, comb(N, n)), down=n)
+    return k, _walk((k,) * N, (), comb(N, n), down=n)
 
 
 def determinant_multiplicity(lam, n: int, budget: int | None = None):

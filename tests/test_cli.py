@@ -382,6 +382,29 @@ def test_plethysm_nvars_past_the_degree_costs_nothing(capsys):
     assert wide["determinant"] == {"power": 0, "multiplicity": 1}
 
 
+def test_size_table_commands_answer_quickly(capsys):
+    # budget: 0.5 seconds each at the bound, in-process, and 3 seconds for
+    # the 8-fold product; every Weyl dimension here has rank 401, and the
+    # single superfactorial quotient took about 1 s each, about 20 s for
+    # the product
+    for argv, top in ((["bwb", "--q", "1"], 0.5), (["decompose", "Q"], 0.5),
+                      (["koszul", "family-dim"], 0.5),
+                      (["decompose", "*".join(["Q"] * 8)], 3.0)):
+        n = _MAX_SIZE[argv[0]]
+        t0 = time.perf_counter()
+        code, out = run_json(capsys, [*argv, "--n", str(n)])
+        assert time.perf_counter() - t0 < top, argv
+        assert code == 0
+        if argv[0] == "bwb":
+            assert out["groups"][0]["dim"] == 2 * n + 1
+        elif argv[0] == "decompose":
+            # H^0(Q) is V, so H^0 of the k-fold product is V^(x k)
+            k = len(argv[1].split("*"))
+            assert out["cohomology"] == [{"degree": 0, "dim": (2 * n + 1) ** k}]
+        else:
+            assert out["status"] == "assumption"
+
+
 def test_pluecker_command_is_deterministic(capsys):
     args = ["pluecker", "--n", "2", "--trials", "5", "--seed", "1"]
     code, first = run_json(capsys, args)
@@ -622,6 +645,16 @@ def test_plethysm_refuses_budgets_past_its_range(capsys):
     code, out = run_json(capsys, ["plethysm", "--lam", "2,1", "--wedge", "2",
                                   "--budget-degree", str(_MAX_BUDGET)])
     assert code == 0 and out["status"] == "pass"
+    # the single row is among the costliest shapes that fill the budget
+    top = _MAX_BUDGET
+    proc = _run_cli("plethysm", "--lam", str(top // 2), "--wedge", "2",
+                    "--nvars", str(top), "--budget-degree", str(top), "--json")
+    try:
+        out, err = proc.communicate(timeout=5)
+    finally:
+        proc.kill()
+    assert proc.returncode == 0, err
+    assert json.loads(out)["status"] == "pass"
     for budget in (_MAX_BUDGET + 1, 2000):
         proc = _run_cli("plethysm", "--lam", "1", "--wedge", str(budget),
                         "--nvars", str(2 * budget), "--budget-degree", str(budget))

@@ -427,6 +427,15 @@ def test_border_strips_moves_as_many_beads_as_the_stack_holds():
     assert moves == [(partitions._beads((1,) * 2000, 2000), 1)]
 
 
+def test_lr_rank_past_the_boxes_costs_nothing():
+    # budget: 0.1 seconds; no product of 4 boxes has more than 4 rows, so
+    # the walk keeps at most 4 beads whatever the rank
+    t0 = time.perf_counter()
+    got = littlewood_richardson((2, 1), (1,), 10**5)
+    assert time.perf_counter() - t0 < 0.1
+    assert got == littlewood_richardson((2, 1), (1,), 4)
+
+
 def test_lr_rejects_bad_input():
     with pytest.raises(ValueError):
         littlewood_richardson((1,), (1,), 0)
@@ -466,11 +475,11 @@ def test_partitions_of_matches_recursive_definition():
 
 
 def weyl_dimension_pairwise(w):
-    # the earlier formula: both products over all pairs i < j
+    # the earlier formula: the product over all pairs i < j, divided once by
+    # prod_{i<j} (j - i), the superfactorial prod_{k<r} k!
     r = len(w)
-    pairs = [(i, j) for i in range(r) for j in range(i + 1, r)]
-    num = math.prod(w[i] - w[j] + j - i for i, j in pairs)
-    den = math.prod(j - i for i, j in pairs)
+    num = math.prod(w[i] - w[j] + j - i for i in range(r) for j in range(i + 1, r))
+    den = math.prod(math.factorial(k) for k in range(r))
     assert num % den == 0
     return num // den
 
@@ -481,3 +490,17 @@ def test_weyl_dimension_matches_pairwise_formula():
         r = rng.randrange(1, 18)
         w = tuple(sorted((rng.randrange(-6, 10) for _ in range(r)), reverse=True))
         assert weyl_dimension(w) == weyl_dimension_pairwise(w)
+    # long weights with a few distinct entries, like the Bott weights of
+    # G(n, 2n+1) at large n; the formula above takes about 2 s at 501
+    for r in (100, 200, 501):
+        values = rng.sample(range(-6, 7), rng.randrange(1, 5))
+        w = tuple(sorted((rng.choice(values) for _ in range(r)), reverse=True))
+        assert weyl_dimension(w) == weyl_dimension_pairwise(w), r
+
+
+def test_weyl_dimension_of_a_long_weight_is_quick():
+    # the weight of Q at n = 250; the single superfactorial quotient took
+    # about 2 s here
+    t0 = time.perf_counter()
+    assert weyl_dimension((1,) + (0,) * 500) == 501
+    assert time.perf_counter() - t0 < 0.2
