@@ -16,9 +16,20 @@ The modules compute, with integer or rational arithmetic throughout:
 - cli: the `cypairs` command line front end.
 """
 
-# No module of the package uses numpy; the import keeps it loaded because
-# perfbench/worker.py records sys.modules["numpy"].__version__ with every run.
-import numpy  # noqa: F401
+import importlib.util
+import sys
+
+# No module of the package uses numpy.  perfbench/worker.py reads
+# sys.modules["numpy"].__version__ after importing cypairs, so numpy gets a
+# lazy entry there: its code runs on the first attribute access, never on
+# import, and a later `import numpy` returns the real module.  Without numpy
+# nothing is registered.
+_spec = None if "numpy" in sys.modules else importlib.util.find_spec("numpy")
+if _spec is not None:
+    _spec.loader = importlib.util.LazyLoader(_spec.loader)
+    sys.modules["numpy"] = importlib.util.module_from_spec(_spec)
+    _spec.loader.exec_module(sys.modules["numpy"])
+del _spec
 
 from .bundles import (
     Bundle,

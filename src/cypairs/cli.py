@@ -53,6 +53,9 @@ _MAX_SIZE = {"bwb": 200, "decompose": 200, "koszul": 150, "motivic": 150, "hodge
 # the largest --budget-degree D plethysm takes, timed on its costliest shapes
 # at --nvars D: 1.4-2.0 s at D = 34 and 2.5-3.3 s at 36 (see the README)
 _MAX_BUDGET = 34
+# the most --trials pluecker and verify take at each n: `verify --n n` at its
+# bound ends in about a minute in a fresh process (see the README)
+_MAX_TRIALS = {2: 500_000, 3: 75_000, 4: 6_000, 5: 350, 6: 25}
 
 
 def _exit_code(result) -> int:
@@ -216,6 +219,13 @@ CLAIMS = {
 }
 
 
+def _check_trials(ns, trials: int) -> None:
+    """Refuse, before any work, a trial count past the bound of some n."""
+    for n in ns:  # an n out of range is refused by the range checks
+        if n in _MAX_TRIALS and trials > _MAX_TRIALS[n]:
+            raise ValueError(f"n = {n} takes --trials up to {_MAX_TRIALS[n]}, not {trials}")
+
+
 def _claim(name: str, n: int, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
     if n < 2:
         raise ValueError("the claims are stated for n >= 2")
@@ -273,6 +283,7 @@ def cmd_plethysm(args) -> dict:
 
 
 def cmd_pluecker(args) -> dict:
+    _check_trials([args.n], args.trials)
     return _claim("symmetry_obstruction", args.n, args.seed, args.trials)
 
 
@@ -304,7 +315,9 @@ def run_suite(ns, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    return run_suite(_ints(args.n), seed=args.seed, trials=args.trials)
+    ns = _ints(args.n)
+    _check_trials(ns, args.trials)
+    return run_suite(ns, seed=args.seed, trials=args.trials)
 
 
 def _render(obj, indent=0) -> list:
@@ -369,15 +382,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget-degree", type=int, help=f"cap on k*|lam|, 0..{_MAX_BUDGET}")
     p.set_defaults(handler=cmd_plethysm)
 
+    trials_help = "sampled matrices, 1 up to " + ", ".join(
+        f"{top} at n = {n}" for n, top in _MAX_TRIALS.items()
+    )
     p = sub.add_parser("pluecker", parents=[common], help="section symmetry probe")
     p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_N}")
-    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS, help=trials_help)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_pluecker)
 
     p = sub.add_parser("verify", parents=[common], help="run the claims suite")
     p.add_argument("--n", default="2,3", help=f"comma list of sizes in 2..{_MAX_N}")
-    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS)
+    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS, help=trials_help)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(handler=cmd_verify)
 

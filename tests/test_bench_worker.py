@@ -10,7 +10,7 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
 def test_worker_setup_only_reads_numpy():
     # the worker reads numpy's version from sys.modules after `import
-    # cypairs`, so the package must keep numpy loaded
+    # cypairs`; the package registers numpy lazily, so that read loads it
     proc = subprocess.run(
         [sys.executable, os.path.join(ROOT, "perfbench", "worker.py"), "--setup-only"],
         capture_output=True,

@@ -13,8 +13,16 @@ from pathlib import Path
 import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
-from cypairs.cli import _MAX_BUDGET, _MAX_SIZE, CLAIMS, _exit_code, _parse_expression, main
-from cypairs.pluecker import symmetry_obstruction_probe
+from cypairs.cli import (
+    _MAX_BUDGET,
+    _MAX_SIZE,
+    _MAX_TRIALS,
+    CLAIMS,
+    _exit_code,
+    _parse_expression,
+    main,
+)
+from cypairs.pluecker import _DEFAULT_TRIALS, _MAX_N, symmetry_obstruction_probe
 
 
 DATA = Path(__file__).resolve().parent / "data"
@@ -580,6 +588,8 @@ def test_parse_error_exits_two(capsys):
     ["verify", "--n", "2,,3"],
     ["plethysm", "--lam", "2,,1", "--wedge", "2"],
     ["plethysm", "--lam", "1", "--wedge", "2000", "--nvars", "4000", "--budget-degree", "2000"],
+    ["pluecker", "--n", "2", "--trials", "500001"],
+    ["verify", "--n", "2,6", "--trials", "26"],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -666,6 +676,42 @@ def test_plethysm_refuses_budgets_past_its_range(capsys):
         assert out == b""
         (line,) = err.decode().splitlines()
         assert line == f"error: plethysm takes --budget-degree up to {_MAX_BUDGET}, not {budget}"
+
+
+def test_probe_refuses_trials_past_its_bounds(capsys, monkeypatch):
+    # one bound per n, stated in --help and holding the default; a count past
+    # the bound of any n in the list is refused before any claim runs
+    for command in ("pluecker", "verify"):
+        with pytest.raises(SystemExit):
+            main([command, "--help"])
+        usage = " ".join(capsys.readouterr().out.split())
+        for n, top in _MAX_TRIALS.items():
+            assert f"{top} at n = {n}" in usage
+    assert sorted(_MAX_TRIALS) == list(range(2, _MAX_N + 1))
+    assert _DEFAULT_TRIALS <= min(_MAX_TRIALS.values())
+
+    ran = []
+
+    def record(name):
+        def claim(n, seed, trials):
+            ran.append((name, n, trials))
+            return "pass", {}
+        return claim
+
+    monkeypatch.setattr("cypairs.cli.verify_vanishing_claims", lambda n: {"checks": []})
+    for name in CLAIMS:
+        monkeypatch.setitem(CLAIMS, name, record(name))
+    for n, top in _MAX_TRIALS.items():
+        assert main(["pluecker", "--n", str(n), "--trials", str(top)]) == 0
+        assert ran == [("symmetry_obstruction", n, top)]
+        capsys.readouterr()
+        ran.clear()
+        for argv in (["pluecker", "--n", str(n)], ["verify", "--n", f"2,{n}"]):
+            assert main([*argv, "--trials", str(top + 1)]) == 2
+            assert ran == []
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert captured.err == f"error: n = {n} takes --trials up to {top}, not {top + 1}\n"
 
 
 @pytest.mark.parametrize("sizes", ["2,3,4,5,8", "2,1", "1,3"])
