@@ -48,15 +48,6 @@ from .symfunc import BudgetExceeded, plethysm_wedge, schur_expansion_json
 
 _ATOMS = {"Q": Bundle((), (1,), 0), "Udual": Bundle((1,), (), 0)}
 
-# the largest n each command takes, within 2 s in a fresh process (see the README)
-_MAX_SIZE = {"bwb": 200, "decompose": 200, "koszul": 150, "motivic": 150, "hodge": 250}
-# the largest --budget-degree D plethysm takes, timed on its costliest shapes
-# at --nvars D: 1.4-2.0 s at D = 34 and 2.5-3.3 s at 36 (see the README)
-_MAX_BUDGET = 34
-# the most --trials pluecker and verify take at each n: `verify --n n` at its
-# bound ends in about a minute in a fresh process (see the README)
-_MAX_TRIALS = {2: 500_000, 3: 75_000, 4: 6_000, 5: 350, 6: 25}
-
 
 def _exit_code(result) -> int:
     if isinstance(result, dict):
@@ -70,12 +61,20 @@ def _exit_code(result) -> int:
 
 
 def _ints(text: str) -> tuple:
-    """A comma list of integers; blank text is the empty list, and a blank
-    field is an error."""
-    fields = text.split(",") if text.strip() else []
-    if not all(x.strip() for x in fields):
-        raise ValueError(f"empty field in the comma list {text!r}")
-    return tuple(int(x) for x in fields)
+    """A comma list of integers, blank text being the empty list.  It raises
+    ArgumentTypeError, whose message argparse keeps (a ValueError's it drops)."""
+    try:
+        return tuple(int(x) for x in text.split(",")) if text.strip() else ()
+    except ValueError:  # a blank field or junk
+        raise argparse.ArgumentTypeError(f"not a comma list of integers: {text!r}") from None
+
+
+def _sizes(text: str) -> tuple:
+    """The sizes of `verify --n`: at least one, each given once."""
+    sizes = _ints(text)
+    if not sizes or len(set(sizes)) < len(sizes):
+        raise argparse.ArgumentTypeError(f"not a comma list of distinct sizes: {text!r}")
+    return sizes
 
 
 def _bundle_json(b: Bundle, mult: int, n: int) -> dict:
@@ -146,8 +145,6 @@ def _on_fresh_stack(call):
 
 def _parse_expression(text: str, n: int) -> dict:
     """{Bundle: multiplicity} of a bundle expression, parsed but never evaluated."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
     if "#" in text:  # read as one line, a comment would hide the rest of it
         raise ValueError("bad expression: '#' is not allowed")
     # one line, so newlines and leading blanks read as plain spaces
@@ -161,7 +158,7 @@ def _parse_expression(text: str, n: int) -> dict:
 
 
 def cmd_bwb(args) -> dict:
-    b = canonicalize(Bundle(_ints(args.u), _ints(args.q), args.twist), args.n)
+    b = canonicalize(Bundle(args.u, args.q, args.twist), args.n)
     group = cohomology(b, args.n)
     groups = [] if group is None else [
         {"degree": group.degree, "weight": list(group.weight), "dim": group.dim}
@@ -219,16 +216,7 @@ CLAIMS = {
 }
 
 
-def _check_trials(ns, trials: int) -> None:
-    """Refuse, before any work, a trial count past the bound of some n."""
-    for n in ns:  # an n out of range is refused by the range checks
-        if n in _MAX_TRIALS and trials > _MAX_TRIALS[n]:
-            raise ValueError(f"n = {n} takes --trials up to {_MAX_TRIALS[n]}, not {trials}")
-
-
 def _claim(name: str, n: int, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
-    if n < 2:
-        raise ValueError("the claims are stated for n >= 2")
     status, detail = CLAIMS[name](n, seed, trials)
     return {"status": status, **detail}
 
@@ -260,14 +248,11 @@ def cmd_hodge(args) -> dict:
 
 
 def cmd_plethysm(args) -> dict:
-    budget = args.budget_degree
-    if (budget or 0) > _MAX_BUDGET:  # refused before any work
-        raise ValueError(f"plethysm takes --budget-degree up to {_MAX_BUDGET}, not {budget}")
-    lam = check_partition(_ints(args.lam))
+    lam = check_partition(args.lam)
     N = 2 * args.wedge + 1 if args.nvars is None else args.nvars
     out = {"lam": list(lam), "wedge": args.wedge}
     try:
-        expansion = plethysm_wedge(lam, args.wedge, N=N, budget=budget)
+        expansion = plethysm_wedge(lam, args.wedge, N=N, budget=args.budget_degree)
     except BudgetExceeded as exc:
         out["status"] = "indeterminate"
         out["reason"] = str(exc)
@@ -283,27 +268,16 @@ def cmd_plethysm(args) -> dict:
 
 
 def cmd_pluecker(args) -> dict:
-    _check_trials([args.n], args.trials)
     return _claim("symmetry_obstruction", args.n, args.seed, args.trials)
 
 
 def run_suite(ns, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
     """One case per (claim, n): the vanishing claims table, then `CLAIMS`."""
-    if not ns:
-        raise ValueError("no sizes given; --n takes a comma list such as 2,3")
-    # a bad size late in the list must not cost the work before it
-    if not all(2 <= n <= _MAX_N for n in ns):
-        raise ValueError(f"verify takes n in 2..{_MAX_N}, not {list(ns)}")
     cases = []
     for n in ns:
         for check in verify_vanishing_claims(n)["checks"]:
-            detail = {k: v for k, v in check.items() if k != "name"}
-            cases.append({
-                "n": n,
-                "claim": check["name"],
-                "status": check["status"],
-                "detail": detail,
-            })
+            cases.append({"n": n, "claim": check["name"], "status": check["status"],
+                          "detail": {k: v for k, v in check.items() if k != "name"}})
         for claim, grade in CLAIMS.items():
             status, detail = grade(n, seed, trials)
             cases.append({"n": n, "claim": claim, "status": status, "detail": detail})
@@ -315,9 +289,7 @@ def run_suite(ns, seed: int = 0, trials: int = _DEFAULT_TRIALS) -> dict:
 
 
 def cmd_verify(args) -> dict:
-    ns = _ints(args.n)
-    _check_trials(ns, args.trials)
-    return run_suite(ns, seed=args.seed, trials=args.trials)
+    return run_suite(args.n, seed=args.seed, trials=args.trials)
 
 
 def _render(obj, indent=0) -> list:
@@ -340,74 +312,101 @@ def _render(obj, indent=0) -> list:
     return lines
 
 
+# command -> (help, {argument: add_argument keywords}).  The handler is cmd_<command>,
+# looked up when called, so a wrapper set on this module runs in its place.  An optional
+# range (low, high), high being None for no cap or {n: cap} for one cap per size, is
+# stated in --help and checked before any handler runs.  The tops are measured (see the
+# README): each --n top answers within 2 s in a fresh process, as does --budget-degree's
+# on its costliest shapes, and `verify --n n` at its --trials cap ends in about a minute
+_SIZE = dict(type=int, default=2, help="size")
+_TRIALS = dict(type=int, default=_DEFAULT_TRIALS, help="sampled matrices",
+               range=(1, {2: 500_000, 3: 75_000, 4: 6_000, 5: 350, 6: 25}))
+_SEED = dict(type=int, default=0)
+COMMANDS = {
+    "bwb": ("cohomology of one bundle", {
+        "--n": dict(**_SIZE, range=(1, 200)),
+        "--u": dict(type=_ints, default="", help="comma partition on the dual subbundle"),
+        "--q": dict(type=_ints, default="", help="comma partition on the quotient"),
+        "--twist": dict(type=int, default=0),
+    }),
+    "decompose": ("tensor decomposition", {
+        "expression": dict(help="e.g. 'wedgeQ(2,-4) * Q + O(-1)'"),
+        "--n": dict(**_SIZE, range=(1, 200)),
+    }),
+    "koszul": ("restriction to the zero locus", {
+        "action": dict(choices=["restrict", "family-dim"], help="family-dim takes n from 2"),
+        "expression": dict(nargs="?", help="restrict only; default O(0)"),
+        "--n": dict(**_SIZE, range=(1, 150)),
+    }),
+    "motivic": ("L-equivalence certificate", {"--n": dict(**_SIZE, range=(2, 150))}),
+    "hodge": ("middle Hodge decomposition", {"--n": dict(**_SIZE, range=(2, 250))}),
+    "plethysm": ("Schur expansion of s_lam[e_k]", {
+        "--lam": dict(type=_ints, required=True, help="comma partition"),
+        "--wedge": dict(type=int, required=True, help="wedge order k", range=(1, None)),
+        "--nvars": dict(type=int),
+        "--budget-degree": dict(type=int, help="cap on k*|lam|", range=(0, 34)),
+    }),
+    "pluecker": ("section symmetry probe", {"--n": dict(**_SIZE, range=(2, _MAX_N)),
+                                            "--trials": _TRIALS, "--seed": _SEED}),
+    "verify": ("run the claims suite", {
+        "--n": dict(type=_sizes, default="2,3", help="comma list of distinct sizes",
+                    range=(2, _MAX_N)),
+        "--trials": _TRIALS, "--seed": _SEED,
+    }),
+}
+
+
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):  # `main` prints it as its one error line, no usage
+        raise ValueError(message)
+
+
+def _spans(low, high, sizes) -> list:
+    """[(cap, span)] of a range as --help states it, one per size if capped per size."""
+    if not isinstance(high, dict):
+        return [(high, f"from {low}" if high is None else f"{low}..{high}")]
+    return [(high[n], f"{low}..{high[n]} at n = {n}") for n in sizes]
+
+
 @cache  # parse_args keeps no state between calls, so one parser serves them all
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="machine output")
-
-    parser = argparse.ArgumentParser(prog="cypairs")
+    parser = _Parser(prog="cypairs")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bwb", parents=[common], help="cohomology of one bundle")
-    p.add_argument("--n", type=int, default=2, help=f"size, 1..{_MAX_SIZE['bwb']}")
-    p.add_argument("--u", default="", help="comma partition on the dual subbundle")
-    p.add_argument("--q", default="", help="comma partition on the quotient")
-    p.add_argument("--twist", type=int, default=0)
-    p.set_defaults(handler=cmd_bwb)
-
-    p = sub.add_parser("decompose", parents=[common], help="tensor decomposition")
-    p.add_argument("expression", help="e.g. 'wedgeQ(2,-4) * Q + O(-1)'")
-    p.add_argument("--n", type=int, default=2, help=f"size, 1..{_MAX_SIZE['decompose']}")
-    p.set_defaults(handler=cmd_decompose)
-
-    p = sub.add_parser("koszul", parents=[common], help="restriction to the zero locus")
-    p.add_argument("action", choices=["restrict", "family-dim"])
-    p.add_argument("expression", nargs="?", default=None, help="restrict only; default O(0)")
-    p.add_argument("--n", type=int, default=2,
-                   help=f"size, 1..{_MAX_SIZE['koszul']} (family-dim from 2)")
-    p.set_defaults(handler=cmd_koszul)
-
-    p = sub.add_parser("motivic", parents=[common], help="L-equivalence certificate")
-    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_SIZE['motivic']}")
-    p.set_defaults(handler=cmd_motivic)
-
-    p = sub.add_parser("hodge", parents=[common], help="middle Hodge decomposition")
-    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_SIZE['hodge']}")
-    p.set_defaults(handler=cmd_hodge)
-
-    p = sub.add_parser("plethysm", parents=[common], help="Schur expansion of s_lam[e_k]")
-    p.add_argument("--lam", required=True, help="comma partition")
-    p.add_argument("--wedge", type=int, required=True, help="wedge order k")
-    p.add_argument("--nvars", type=int, default=None)
-    p.add_argument("--budget-degree", type=int, help=f"cap on k*|lam|, 0..{_MAX_BUDGET}")
-    p.set_defaults(handler=cmd_plethysm)
-
-    trials_help = "sampled matrices, 1 up to " + ", ".join(
-        f"{top} at n = {n}" for n, top in _MAX_TRIALS.items()
-    )
-    p = sub.add_parser("pluecker", parents=[common], help="section symmetry probe")
-    p.add_argument("--n", type=int, default=2, help=f"size, 2..{_MAX_N}")
-    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS, help=trials_help)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_pluecker)
-
-    p = sub.add_parser("verify", parents=[common], help="run the claims suite")
-    p.add_argument("--n", default="2,3", help=f"comma list of sizes in 2..{_MAX_N}")
-    p.add_argument("--trials", type=int, default=_DEFAULT_TRIALS, help=trials_help)
-    p.add_argument("--seed", type=int, default=0)
-    p.set_defaults(handler=cmd_verify)
-
+    for command, (help_text, arguments) in COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.add_argument("--json", action="store_true", help="machine output")
+        for name, keywords in arguments.items():
+            keywords = dict(keywords)
+            if "range" in keywords:
+                low, high = keywords.pop("range")
+                keywords["help"] += ", " + ", ".join(s for _, s in _spans(low, high, high))
+            p.add_argument(name, **keywords)
     return parser
 
 
+def _check_ranges(args) -> None:
+    """Refuse each value outside the range its --help states, in one line naming
+    that range; --n comes first, so caps per size are read only for valid sizes."""
+    n = getattr(args, "n", None)
+    sizes = n if isinstance(n, tuple) else [n]
+    for name, keywords in COMMANDS[args.command][1].items():
+        value = getattr(args, name.lstrip("-").replace("-", "_"))
+        if "range" not in keywords or value is None:
+            continue
+        low, high = keywords["range"]
+        for v in value if isinstance(value, tuple) else [value]:
+            for top, span in _spans(low, high, sizes):
+                if v < low or top is not None and v > top:
+                    raise ValueError(f"{args.command} takes {name} {span}, not {v}")
+
+
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
-    start = time.perf_counter()
     try:
-        top = _MAX_SIZE.get(args.command)
-        if top is not None and args.n > top:  # refused before any work
-            raise ValueError(f"{args.command} takes n up to {top}, not {args.n}")
-        result = {"schema": 2, "command": args.command, **args.handler(args)}
+        args = _build_parser().parse_args(argv)
+        _check_ranges(args)  # every refusal comes before any work
+        start = time.perf_counter()
+        result = {"schema": 2, "command": args.command,
+                  **globals()[f"cmd_{args.command}"](args)}
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

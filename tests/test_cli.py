@@ -14,10 +14,8 @@ import pytest
 
 from cypairs.bundles import Bundle, overall_status, tensor, wedge_q
 from cypairs.cli import (
-    _MAX_BUDGET,
-    _MAX_SIZE,
-    _MAX_TRIALS,
     CLAIMS,
+    COMMANDS,
     _exit_code,
     _parse_expression,
     main,
@@ -34,6 +32,11 @@ def run_json(capsys, argv):
     code = main(argv + ["--json"])
     captured = capsys.readouterr()
     return code, json.loads(captured.out)
+
+
+def _range(command, name):
+    """(low, high) of an argument, as the command table states it."""
+    return COMMANDS[command][1][name]["range"]
 
 
 def test_overall_status_rollup():
@@ -398,7 +401,7 @@ def test_size_table_commands_answer_quickly(capsys):
     for argv, top in ((["bwb", "--q", "1"], 0.5), (["decompose", "Q"], 0.5),
                       (["koszul", "family-dim"], 0.5),
                       (["decompose", "*".join(["Q"] * 8)], 3.0)):
-        n = _MAX_SIZE[argv[0]]
+        n = _range(argv[0], "--n")[1]
         t0 = time.perf_counter()
         code, out = run_json(capsys, [*argv, "--n", str(n)])
         assert time.perf_counter() - t0 < top, argv
@@ -590,6 +593,12 @@ def test_parse_error_exits_two(capsys):
     ["plethysm", "--lam", "1", "--wedge", "2000", "--nvars", "4000", "--budget-degree", "2000"],
     ["pluecker", "--n", "2", "--trials", "500001"],
     ["verify", "--n", "2,6", "--trials", "26"],
+    ["verify", "--n", "2,2,2"],
+    ["bwb", "--n", "x"],
+    ["plethysm", "--lam", "2,1"],
+    ["bwb", "--bogus", "1"],
+    ["nosuch"],
+    [],
 ])
 def test_bad_input_exits_two_with_one_line(capsys, argv):
     assert main(argv) == 2
@@ -628,10 +637,10 @@ def test_probe_refuses_sizes_past_its_range(argv):
 def test_commands_refuse_sizes_past_their_range(capsys, argv):
     # budget: 5 seconds per refusal, in a fresh process; bwb at n = 10^6
     # used to run for minutes.  The range is stated in --help
-    top = _MAX_SIZE[argv[0]]
+    low, top = _range(argv[0], "--n")
     with pytest.raises(SystemExit):
         main([*argv, "--help"])
-    assert f"..{top}" in capsys.readouterr().out
+    assert f"{low}..{top}" in capsys.readouterr().out
     for n in (top + 1, 10**6):
         proc = _run_cli(*argv, "--n", str(n))
         try:
@@ -641,22 +650,22 @@ def test_commands_refuse_sizes_past_their_range(capsys, argv):
         assert proc.returncode == 2
         assert out == b""
         (line,) = err.decode().splitlines()
-        assert line == f"error: {argv[0]} takes n up to {top}, not {n}"
+        assert line == f"error: {argv[0]} takes --n {low}..{top}, not {n}"
 
 
 def test_plethysm_refuses_budgets_past_its_range(capsys):
     # budget: 5 seconds per refusal, in a fresh process; --budget-degree 2000
     # used to read all p(2000) shapes of 2000 boxes.  The range is stated in
     # --help, takes its top value, and holds the bench's --budget-degree 15
+    low, top = _range("plethysm", "--budget-degree")
     with pytest.raises(SystemExit):
         main(["plethysm", "--help"])
-    assert f"0..{_MAX_BUDGET}" in capsys.readouterr().out
-    assert 15 <= _MAX_BUDGET
+    assert f"{low}..{top}" in capsys.readouterr().out
+    assert low == 0 and 15 <= top
     code, out = run_json(capsys, ["plethysm", "--lam", "2,1", "--wedge", "2",
-                                  "--budget-degree", str(_MAX_BUDGET)])
+                                  "--budget-degree", str(top)])
     assert code == 0 and out["status"] == "pass"
     # the single row is among the costliest shapes that fill the budget
-    top = _MAX_BUDGET
     proc = _run_cli("plethysm", "--lam", str(top // 2), "--wedge", "2",
                     "--nvars", str(top), "--budget-degree", str(top), "--json")
     try:
@@ -665,7 +674,7 @@ def test_plethysm_refuses_budgets_past_its_range(capsys):
         proc.kill()
     assert proc.returncode == 0, err
     assert json.loads(out)["status"] == "pass"
-    for budget in (_MAX_BUDGET + 1, 2000):
+    for budget in (top + 1, 2000):
         proc = _run_cli("plethysm", "--lam", "1", "--wedge", str(budget),
                         "--nvars", str(2 * budget), "--budget-degree", str(budget))
         try:
@@ -675,20 +684,22 @@ def test_plethysm_refuses_budgets_past_its_range(capsys):
         assert proc.returncode == 2
         assert out == b""
         (line,) = err.decode().splitlines()
-        assert line == f"error: plethysm takes --budget-degree up to {_MAX_BUDGET}, not {budget}"
+        assert line == f"error: plethysm takes --budget-degree {low}..{top}, not {budget}"
 
 
 def test_probe_refuses_trials_past_its_bounds(capsys, monkeypatch):
     # one bound per n, stated in --help and holding the default; a count past
     # the bound of any n in the list is refused before any claim runs
+    low, caps = _range("pluecker", "--trials")
+    assert _range("verify", "--trials") == (low, caps)
     for command in ("pluecker", "verify"):
         with pytest.raises(SystemExit):
             main([command, "--help"])
         usage = " ".join(capsys.readouterr().out.split())
-        for n, top in _MAX_TRIALS.items():
-            assert f"{top} at n = {n}" in usage
-    assert sorted(_MAX_TRIALS) == list(range(2, _MAX_N + 1))
-    assert _DEFAULT_TRIALS <= min(_MAX_TRIALS.values())
+        for n, top in caps.items():
+            assert f"{low}..{top} at n = {n}" in usage
+    assert sorted(caps) == list(range(2, _MAX_N + 1))
+    assert low <= _DEFAULT_TRIALS <= min(caps.values())
 
     ran = []
 
@@ -701,17 +712,63 @@ def test_probe_refuses_trials_past_its_bounds(capsys, monkeypatch):
     monkeypatch.setattr("cypairs.cli.verify_vanishing_claims", lambda n: {"checks": []})
     for name in CLAIMS:
         monkeypatch.setitem(CLAIMS, name, record(name))
-    for n, top in _MAX_TRIALS.items():
+    for n, top in caps.items():
         assert main(["pluecker", "--n", str(n), "--trials", str(top)]) == 0
         assert ran == [("symmetry_obstruction", n, top)]
         capsys.readouterr()
         ran.clear()
-        for argv in (["pluecker", "--n", str(n)], ["verify", "--n", f"2,{n}"]):
+        # the sizes 2..n: n has the lowest bound of the list, and comes last
+        sizes = ",".join(str(m) for m in range(2, n + 1))
+        for argv in (["pluecker", "--n", str(n)], ["verify", "--n", sizes]):
             assert main([*argv, "--trials", str(top + 1)]) == 2
             assert ran == []
             captured = capsys.readouterr()
             assert captured.out == ""
-            assert captured.err == f"error: n = {n} takes --trials up to {top}, not {top + 1}\n"
+            assert captured.err == (
+                f"error: {argv[0]} takes --trials {low}..{top} at n = {n}, not {top + 1}\n"
+            )
+
+
+# the fewest arguments each command runs with, put before the one under test
+_BASE_ARGV = {"decompose": ["Q"], "koszul": ["restrict"],
+              "plethysm": ["--lam", "1", "--wedge", "1"]}
+
+
+@pytest.mark.parametrize("command, name", [
+    (command, name)
+    for command, (_, arguments) in COMMANDS.items()
+    for name, keywords in arguments.items() if "range" in keywords
+])
+def test_every_range_is_stated_and_checked_before_any_handler(
+        capsys, monkeypatch, command, name):
+    # each bound passes and one past it is refused, in the one line that
+    # names the span --help states; a cap per size is tried at every size
+    ran = []
+    for other in COMMANDS:
+        monkeypatch.setattr(f"cypairs.cli.cmd_{other}",
+                            lambda args, other=other: ran.append(other) or {})
+    with pytest.raises(SystemExit) as exit_:
+        main([command, "--help"])
+    assert exit_.value.code == 0
+    usage = " ".join(capsys.readouterr().out.split())
+    low, high = _range(command, name)
+    if isinstance(high, dict):
+        cases = [(["--n", str(n)], top, f"{low}..{top} at n = {n}") for n, top in high.items()]
+    else:
+        cases = [([], high, f"from {low}" if high is None else f"{low}..{high}")]
+    for sizes, top, span in cases:
+        assert span in usage
+        argv = [command, *_BASE_ARGV.get(command, []), *sizes, name]
+        for value in [low - 1] + ([] if top is None else [top + 1]):
+            assert main([*argv, str(value)]) == 2
+            captured = capsys.readouterr()
+            assert captured.out == "" and ran == []
+            assert captured.err == f"error: {command} takes {name} {span}, not {value}\n"
+        for value in [low] + ([] if top is None else [top]):
+            assert main([*argv, str(value)]) == 0
+            assert ran == [command]
+            ran.clear()
+            capsys.readouterr()
 
 
 @pytest.mark.parametrize("sizes", ["2,3,4,5,8", "2,1", "1,3"])
